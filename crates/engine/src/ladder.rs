@@ -31,7 +31,7 @@ use iwa_analysis::{
 use iwa_core::fault::{FaultPlan, FaultSite};
 use iwa_core::obs::{Counters, Meta, Metrics, TraceSink};
 use iwa_core::{Budget, CancelToken, IwaError};
-use iwa_frontend::{ChanModel, LoadedModel, LokModel, ModelIr};
+use iwa_frontend::{LoadedModel, ModelIr};
 use iwa_syncgraph::SyncGraph;
 use iwa_tasklang::transforms::{inline_procs, unroll_twice};
 use iwa_tasklang::validate::check_model;
@@ -136,7 +136,8 @@ pub struct EngineOptions {
     pub max_steps: Option<u64>,
     /// Apply the §5.1 source transforms before the stall analysis.
     pub apply_transforms: bool,
-    /// Exploration limits for the oracle rung.
+    /// Exploration limits for the oracle rung (tasklang models; `.lok` and
+    /// `.chan` models answer every rung without exploring).
     pub oracle_config: ExploreConfig,
     /// External cancellation: trips every budgeted rung at its next
     /// checkpoint (the naive floor still answers).
@@ -268,67 +269,28 @@ pub fn analyze(p: &Program, opts: &EngineOptions) -> Result<EngineReport, IwaErr
 }
 
 /// Run the ladder on any loaded frontend model, dispatching on its IR:
-/// tasklang models go through [`analyze`] unchanged; `.lok` models run
-/// the [lock-order ladder](analyze_lok); `.chan` models run the
-/// [channel ladder](analyze_chan). This is the entry point the batch
-/// driver, the CLI, and the serve daemon share.
+/// tasklang models go through [`analyze`] unchanged; `.lok` and `.chan`
+/// models run one wait-graph rung function on every rung of the ladder.
+/// This is the entry point the batch driver, the CLI, and the serve
+/// daemon share.
+///
+/// A wait-graph model's verdict is exact at load time: the frontend's
+/// cycle set is precisely the set of CLG cycles of its lowering (see
+/// [`iwa_frontend::waitgraph`]), and the lowering has no control loops,
+/// so the §3.1 check, the refined search, and the deadlock-only oracle
+/// would all return what the cycle set already says. `.chan` models add
+/// their static livelock witnesses, which live in process-level control
+/// loops the lowering abstracts away. Every rung therefore answers from
+/// the model's witness list — `Anomalous` iff it is non-empty — and no
+/// rung answers `Unknown`.
 pub fn analyze_model(model: &LoadedModel, opts: &EngineOptions) -> Result<EngineReport, IwaError> {
-    match &model.ir {
-        ModelIr::Tasklang(p) => analyze(p, opts),
-        ModelIr::Lok(m) => analyze_lok(m, opts),
-        ModelIr::Chan(m) => analyze_chan(m, opts),
-    }
-}
-
-/// Run the degradation ladder on a loaded `.lok` model.
-///
-/// The rungs reuse the same machinery as the tasklang ladder against the
-/// lowered sync graph, specialised to the lock-order model:
-///
-/// * the **oracle** explores in deadlock-only mode (`ignore_stalls`) —
-///   stall-only stuck waves are benign for this lowering (every task is
-///   skippable, so an unpartnered acquire branch is a legal non-event);
-/// * the **refined** rungs seed the per-head SCC search with the
-///   hold-point nodes ([`LokModel::hold_points`]), which cover every
-///   possible head of the lowered graph, and certify the deadlock half
-///   only — there is no stall half to abstain on, so a deadlock-free
-///   result is `Clean`, never `Unknown`;
-/// * the **naive** floor's CLG cycle check is *exact* here (the lowered
-///   graph is control-loop-free and its CLG cycles are precisely the
-///   lock-order cycles), so even the floor never degrades to `Unknown`.
-///
-/// Anomalous verdicts report the canonical lock-order cycles with their
-/// span-anchored acquisition chains as the flagged witnesses.
-pub fn analyze_lok(m: &LokModel, opts: &EngineOptions) -> Result<EngineReport, IwaError> {
+    let (sg, witnesses) = match &model.ir {
+        ModelIr::Tasklang(p) => return analyze(p, opts),
+        ModelIr::Lok(m) => (&m.sg, m.witnesses()),
+        ModelIr::Chan(m) => (&m.sg, m.witnesses()),
+    };
     Ok(run_ladder(opts, |rung, slice, metrics| {
-        run_rung_lok(m, rung, opts, slice, metrics)
-    }))
-}
-
-/// Run the degradation ladder on a loaded `.chan` model.
-///
-/// The deadlock half mirrors the `.lok` specialisation against the
-/// port-expanded lowering (see [`iwa_frontend::chan::lower`]):
-///
-/// * the **oracle** explores in deadlock-only mode (`ignore_stalls`) —
-///   every lowered task is skippable, so stall-only stuck waves are a
-///   legal non-event, not an anomaly;
-/// * the **refined** rungs seed the per-head SCC search with the
-///   wait-point nodes ([`ChanModel::wait_points`]), which cover every
-///   possible head of the lowered graph;
-/// * the **naive** floor's CLG cycle check is *exact* here (the lowered
-///   graph is control-loop-free and its CLG cycles are precisely the
-///   communication-dependency cycles).
-///
-/// On top of the graph verdict every rung folds in the model's static
-/// **livelock witnesses** — loops traversable forever without external
-/// communication are control-loop properties the (loop-free) lowering
-/// abstracts away, so they are detected on the AST once at load time
-/// and OR-ed into each rung's answer. All rungs therefore agree, and a
-/// deadlock-free, livelock-free result is `Clean`, never `Unknown`.
-pub fn analyze_chan(m: &ChanModel, opts: &EngineOptions) -> Result<EngineReport, IwaError> {
-    Ok(run_ladder(opts, |rung, slice, metrics| {
-        run_rung_chan(m, rung, opts, slice, metrics)
+        run_rung_wait_graph(sg, &witnesses, rung, opts, slice, metrics)
     }))
 }
 
@@ -443,14 +405,7 @@ fn run_rung(
     budget: &Budget,
     metrics: &Metrics,
 ) -> Result<(EngineVerdict, Vec<String>), IwaError> {
-    if rung != Rung::Naive {
-        if let Some(plan) = &opts.faults {
-            plan.fire(FaultSite::Certify, rung.name())?;
-            if matches!(rung, Rung::HeadTails | Rung::HeadPairs | Rung::Heads) {
-                plan.fire(FaultSite::RefinedSearch, rung.name())?;
-            }
-        }
-    }
+    fire_rung_faults(rung, opts)?;
     match rung {
         Rung::Oracle => {
             // Trip *before* building the wave space when the slice is
@@ -539,176 +494,46 @@ fn run_rung(
     }
 }
 
-/// One rung of the lock-order ladder (see [`analyze_lok`] for the
-/// per-rung specialisation). Every rung is exact for this model, so an
-/// `Anomalous` verdict always reports the same canonical witnesses: the
-/// lock-order cycles with their span-anchored acquisition chains.
-fn run_rung_lok(
-    m: &LokModel,
-    rung: Rung,
-    opts: &EngineOptions,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<(EngineVerdict, Vec<String>), IwaError> {
-    if rung != Rung::Naive {
-        if let Some(plan) = &opts.faults {
-            plan.fire(FaultSite::Certify, rung.name())?;
-            if matches!(rung, Rung::HeadTails | Rung::HeadPairs | Rung::Heads) {
-                plan.fire(FaultSite::RefinedSearch, rung.name())?;
-            }
-        }
-    }
-    let witnesses = || {
-        m.cycles
-            .iter()
-            .map(|c| format!("lock-order cycle: {}", m.lock_graph.render_cycle(c)))
-            .collect::<Vec<_>>()
+/// Fire the fault sites of one rung: [`FaultSite::Certify`] on every
+/// budgeted rung and [`FaultSite::RefinedSearch`] on the refined ones.
+/// The naive floor never consults the plan — it must always answer.
+fn fire_rung_faults(rung: Rung, opts: &EngineOptions) -> Result<(), IwaError> {
+    let Some(plan) = &opts.faults else {
+        return Ok(());
     };
-    match rung {
-        Rung::Oracle => {
-            budget.probe("oracle exploration")?;
-            // Deadlock-only mode: stall-only stuck waves are benign in
-            // the lock lowering (every task is skippable).
-            let config = ExploreConfig {
-                ignore_stalls: true,
-                ..opts.oracle_config
-            };
-            let e = explore_budgeted(&m.sg, &config, budget)?;
-            metrics.commit(&Counters {
-                sg_nodes: m.sg.num_nodes() as u64,
-                ..Counters::default()
-            });
-            match e.verdict {
-                Verdict::AnomalyFree => Ok((EngineVerdict::Clean, Vec::new())),
-                Verdict::Anomalous => Ok((EngineVerdict::Anomalous, witnesses())),
-            }
-        }
-        Rung::HeadTails | Rung::HeadPairs | Rung::Heads => {
-            let tier = match rung {
-                Rung::HeadTails => Tier::HeadTails,
-                Rung::HeadPairs => Tier::HeadPairs,
-                _ => Tier::Heads,
-            };
-            let ropts = RefinedOptions {
-                tier,
-                ..RefinedOptions::default()
-            };
-            let mut builder = AnalysisCtx::builder()
-                .budget(budget.clone())
-                .workers(opts.workers)
-                .metrics(metrics.clone());
-            if let Some(t) = &opts.trace {
-                builder = builder.trace(t.clone());
-            }
-            let r = builder.build().refined_seeded(&m.sg, &m.hold_points, &ropts)?;
-            if r.deadlock_free {
-                Ok((EngineVerdict::Clean, Vec::new()))
-            } else {
-                Ok((EngineVerdict::Anomalous, witnesses()))
-            }
-        }
-        Rung::Naive => {
-            // Exact for this model: the lowered graph is control-loop-free
-            // and its CLG cycles are precisely the lock-order cycles, so
-            // the floor never answers `Unknown` on `.lok` input.
-            let naive = naive_analysis(&m.sg);
-            metrics.commit(&Counters {
-                sg_nodes: m.sg.num_nodes() as u64,
-                clg_cycles: naive.cycle_components.len() as u64,
-                ..Counters::default()
-            });
-            if naive.deadlock_free {
-                Ok((EngineVerdict::Clean, Vec::new()))
-            } else {
-                Ok((EngineVerdict::Anomalous, witnesses()))
-            }
-        }
+    if rung != Rung::Naive {
+        plan.fire(FaultSite::Certify, rung.name())?;
     }
+    if matches!(rung, Rung::HeadTails | Rung::HeadPairs | Rung::Heads) {
+        plan.fire(FaultSite::RefinedSearch, rung.name())?;
+    }
+    Ok(())
 }
 
-/// One rung of the channel ladder (see [`analyze_chan`] for the
-/// per-rung specialisation). Every rung is exact for this model, so an
-/// `Anomalous` verdict always reports the same canonical witnesses:
-/// the communication cycles with their span-anchored wait chains, plus
-/// the static livelock witnesses with their starved-arm rationale.
-fn run_rung_chan(
-    m: &ChanModel,
+/// One rung on a `.lok`/`.chan` model (see [`analyze_model`] for why
+/// every rung is exact). A budgeted rung probes its slice once, so an
+/// expired deadline, a cancellation, or an injected fault abandons it and
+/// the ladder degrades exactly as on tasklang models.
+fn run_rung_wait_graph(
+    sg: &SyncGraph,
+    witnesses: &[String],
     rung: Rung,
     opts: &EngineOptions,
     budget: &Budget,
     metrics: &Metrics,
 ) -> Result<(EngineVerdict, Vec<String>), IwaError> {
+    fire_rung_faults(rung, opts)?;
     if rung != Rung::Naive {
-        if let Some(plan) = &opts.faults {
-            plan.fire(FaultSite::Certify, rung.name())?;
-            if matches!(rung, Rung::HeadTails | Rung::HeadPairs | Rung::Heads) {
-                plan.fire(FaultSite::RefinedSearch, rung.name())?;
-            }
-        }
+        budget.probe(&format!("{rung} rung"))?;
     }
-    let witnesses = || {
-        m.cycles
-            .iter()
-            .map(|c| format!("channel-wait cycle: {}", m.comm_graph.render_cycle(c)))
-            .chain(m.livelocks.iter().map(|w| m.render_livelock(w)))
-            .collect::<Vec<_>>()
-    };
-    // Livelock is a control-loop property the (loop-free) lowering
-    // abstracts away; fold the load-time witnesses into every rung.
-    let finish = |graph_deadlock_free: bool| {
-        if graph_deadlock_free && m.livelocks.is_empty() {
-            (EngineVerdict::Clean, Vec::new())
-        } else {
-            (EngineVerdict::Anomalous, witnesses())
-        }
-    };
-    match rung {
-        Rung::Oracle => {
-            budget.probe("oracle exploration")?;
-            // Deadlock-only mode: stall-only stuck waves are benign in
-            // the channel lowering (every task is skippable).
-            let config = ExploreConfig {
-                ignore_stalls: true,
-                ..opts.oracle_config
-            };
-            let e = explore_budgeted(&m.sg, &config, budget)?;
-            metrics.commit(&Counters {
-                sg_nodes: m.sg.num_nodes() as u64,
-                ..Counters::default()
-            });
-            Ok(finish(e.verdict == Verdict::AnomalyFree))
-        }
-        Rung::HeadTails | Rung::HeadPairs | Rung::Heads => {
-            let tier = match rung {
-                Rung::HeadTails => Tier::HeadTails,
-                Rung::HeadPairs => Tier::HeadPairs,
-                _ => Tier::Heads,
-            };
-            let ropts = RefinedOptions {
-                tier,
-                ..RefinedOptions::default()
-            };
-            let mut builder = AnalysisCtx::builder()
-                .budget(budget.clone())
-                .workers(opts.workers)
-                .metrics(metrics.clone());
-            if let Some(t) = &opts.trace {
-                builder = builder.trace(t.clone());
-            }
-            let r = builder.build().refined_seeded(&m.sg, &m.wait_points, &ropts)?;
-            Ok(finish(r.deadlock_free))
-        }
-        Rung::Naive => {
-            // Exact for this model: the lowered graph is control-loop-free
-            // and its CLG cycles are precisely the communication cycles.
-            let naive = naive_analysis(&m.sg);
-            metrics.commit(&Counters {
-                sg_nodes: m.sg.num_nodes() as u64,
-                clg_cycles: naive.cycle_components.len() as u64,
-                ..Counters::default()
-            });
-            Ok(finish(naive.deadlock_free))
-        }
+    metrics.commit(&Counters {
+        sg_nodes: sg.num_nodes() as u64,
+        ..Counters::default()
+    });
+    if witnesses.is_empty() {
+        Ok((EngineVerdict::Clean, Vec::new()))
+    } else {
+        Ok((EngineVerdict::Anomalous, witnesses.to_vec()))
     }
 }
 

@@ -1,10 +1,13 @@
 //! Degradation-ladder behaviour: rung selection under budgets, labelled
 //! degradation, cancellation, and the audit trail.
 
+use iwa_core::fault::FaultPlan;
 use iwa_core::CancelToken;
-use iwa_engine::{analyze, EngineOptions, EngineVerdict, Rung, LADDER};
+use iwa_engine::{analyze, analyze_model, EngineOptions, EngineVerdict, Rung, LADDER};
+use iwa_frontend::{registry, Lang, LoadedModel};
 use iwa_tasklang::parse;
 use iwa_workloads::adversarial::deep_loop_nest;
+use std::path::Path;
 use std::time::Duration;
 
 fn clean_program() -> iwa_tasklang::Program {
@@ -209,4 +212,76 @@ fn reports_serialize_to_json() {
     assert!(json.contains("\"verdict\":\"Clean\""), "got: {json}");
     assert!(json.contains("\"rung\":\"Oracle\""));
     assert!(json.contains("\"degraded\":false"));
+}
+
+/// The two-node wait-graph fixtures: the `.lok` ABBA pair and the `.chan`
+/// crossed pair, both deadlocking.
+fn wait_graph_fixtures() -> Vec<LoadedModel> {
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    [(Lang::Lok, "locks/abba.lok"), (Lang::Chan, "channels/crossed_pair.chan")]
+        .into_iter()
+        .map(|(lang, file)| {
+            let src = std::fs::read_to_string(corpus.join(file)).expect("fixture exists");
+            registry::by_lang(lang).load(&src).expect("fixture loads")
+        })
+        .collect()
+}
+
+#[test]
+fn wait_graph_rungs_meter_the_graph_they_answer_for() {
+    for model in wait_graph_fixtures() {
+        let nodes = model.sync_graph().num_nodes() as u64;
+        assert!(nodes > 0);
+        for rung in LADDER {
+            let r = analyze_model(
+                &model,
+                &EngineOptions {
+                    start: rung,
+                    ..EngineOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(r.rung, rung, "{}: no budget, no degradation", model.lang);
+            assert_eq!(r.verdict, EngineVerdict::Anomalous);
+            assert_eq!(r.meta.metrics.sg_nodes, nodes, "{} from {rung}", model.lang);
+        }
+    }
+}
+
+#[test]
+fn wait_graph_models_degrade_like_tasklang_ones() {
+    for model in wait_graph_fixtures() {
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = EngineOptions {
+            cancel: Some(token),
+            ..EngineOptions::default()
+        };
+        let expired = EngineOptions {
+            deadline: Some(Duration::ZERO),
+            ..EngineOptions::default()
+        };
+        for (opts, why) in [(cancelled, "cancelled"), (expired, "deadline")] {
+            let r = analyze_model(&model, &opts).unwrap();
+            assert_eq!(r.rung, Rung::Naive, "{}: {why}", model.lang);
+            assert!(r.degraded);
+            assert_eq!(r.attempts.len(), LADDER.len());
+            assert!(r.attempts[..LADDER.len() - 1]
+                .iter()
+                .all(|a| a.detail.as_deref().unwrap().contains(why)));
+            // The floor is exact on wait graphs: same verdict and witnesses.
+            assert_eq!(r.verdict, EngineVerdict::Anomalous);
+            assert_eq!(r.flagged.len(), 1);
+        }
+
+        // An injected budget trip at the first two certify sites abandons
+        // the oracle and head-tails rungs; head-pairs answers.
+        let faulted = EngineOptions {
+            faults: Some(FaultPlan::parse("certify=budget-trip:times=2").unwrap()),
+            ..EngineOptions::default()
+        };
+        let r = analyze_model(&model, &faulted).unwrap();
+        assert_eq!(r.rung, Rung::HeadPairs, "{}", model.lang);
+        assert!(r.degraded);
+    }
 }

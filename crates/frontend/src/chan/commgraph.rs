@@ -4,22 +4,23 @@
 //! op the waiters at port `q` need ([`super::effects`] produces the
 //! edges). A cycle is a circular wait over channel ends — the `.chan`
 //! analogue of a lock-order cycle, and exactly what the lowering turns
-//! into a CLG deadlock.
+//! into a CLG deadlock. Cycles, witness rings, and the lowering come from
+//! the shared [`waitgraph`] core.
 
 use super::ast::{Capacity, ChanProgram, Dir};
 use super::effects::{port_chan, port_dir, ChanEffects, ChanIssue, DepEdge};
-use iwa_graphs::{GraphBuilder, Scc};
+use crate::waitgraph::{self, Branch, WaitCycle, WaitEdge};
+use iwa_syncgraph::SyncGraph;
 
-/// One communication cycle, with its witness wait chain.
-#[derive(Clone, Debug)]
-pub struct CommCycle {
-    /// The ports on the cycle, starting from the smallest id; length 1
-    /// for a self-rendezvous loop.
-    pub ports: Vec<usize>,
-    /// The edges closing the cycle: `chain[i]` goes from `ports[i]` to
-    /// `ports[(i+1) % len]`, each carrying the spans of the blocked and
-    /// withheld ops involved.
-    pub chain: Vec<DepEdge>,
+/// One communication cycle: `nodes` are the ports on the cycle, `chain`
+/// the wait edges closing it, each carrying the spans of the blocked and
+/// withheld ops involved.
+pub type CommCycle = WaitCycle<DepEdge>;
+
+impl WaitEdge for DepEdge {
+    fn ends(&self) -> (usize, usize) {
+        (self.from, self.to)
+    }
 }
 
 /// The communication dependency graph of a [`ChanProgram`].
@@ -68,89 +69,32 @@ impl CommGraph {
         format!("{}{}", self.chan_name(port_chan(p)), mark)
     }
 
-    /// Deterministic witness cycles: one canonical [`CommCycle`] per
-    /// non-trivial strong component (plus one per self-edge), found by a
-    /// shortest-cycle BFS from the component's smallest port id with
-    /// smallest-successor tie-breaking — byte-stable across runs.
+    /// Deterministic witness cycles (`waitgraph::cycles`): empty iff
+    /// the model is deadlock-free.
     #[must_use]
     pub fn cycles(&self) -> Vec<CommCycle> {
-        let n = self.num_ports();
-        let mut g: GraphBuilder<u32> = GraphBuilder::with_nodes(n);
-        for (i, e) in self.edges.iter().enumerate() {
-            g.add_edge(e.from, e.to, i as u32);
-        }
-        let g = g.freeze();
-        let scc = Scc::compute(&g, None);
-
-        let mut out = Vec::new();
-        // Self-loops first: a self-rendezvous deadlocks on its own, even
-        // inside a larger component.
-        for e in &self.edges {
-            if e.from == e.to {
-                out.push(CommCycle {
-                    ports: vec![e.from],
-                    chain: vec![e.clone()],
-                });
-            }
-        }
-        for comp in scc.nontrivial_components(&g) {
-            // A single node is only non-trivial through a self-edge,
-            // which was already emitted above.
-            if comp.len() < 2 {
-                continue;
-            }
-            let start = comp.iter().copied().min().expect("non-empty") as usize;
-            out.push(self.shortest_cycle_through(&g, &comp, start));
-        }
-        out.sort_by(|a, b| a.ports.cmp(&b.ports));
-        out
+        waitgraph::cycles(self.num_ports(), &self.edges)
     }
 
-    /// Shortest cycle through `start` staying inside `comp`, successors
-    /// in edge order (the CSR keeps per-source insertion order, which is
-    /// walk order — deterministic).
-    fn shortest_cycle_through(
-        &self,
-        g: &iwa_graphs::Csr<u32>,
-        comp: &[u32],
-        start: usize,
-    ) -> CommCycle {
-        let in_comp = |v: usize| comp.contains(&(v as u32));
-        // BFS over edges from `start`; parent[v] = edge index used to
-        // first reach v.
-        let mut parent: Vec<Option<u32>> = vec![None; g.num_nodes()];
-        let mut queue = std::collections::VecDeque::from([start]);
-        let mut closing: Option<u32> = None;
-        'bfs: while let Some(u) = queue.pop_front() {
-            for (&v, &eidx) in g.successors(u).iter().zip(g.successor_labels(u)) {
-                let v = v as usize;
-                // Self-edges are reported as their own length-1 cycles.
-                if v == u {
-                    continue;
-                }
-                if v == start {
-                    closing = Some(eidx);
-                    break 'bfs;
-                }
-                if in_comp(v) && parent[v].is_none() {
-                    parent[v] = Some(eidx);
-                    queue.push_back(v);
-                }
-            }
-        }
-        let closing = closing.expect("a non-trivial SCC has a cycle through every member");
-        let mut chain = vec![self.edges[closing as usize].clone()];
-        let mut cur = chain[0].from;
-        while cur != start {
-            let eidx = parent[cur].expect("BFS reached every chain node") as usize;
-            chain.push(self.edges[eidx].clone());
-            cur = self.edges[eidx].from;
-        }
-        chain.reverse();
-        CommCycle {
-            ports: chain.iter().map(|e| e.from).collect(),
-            chain,
-        }
+    /// Lower onto the sync-graph model (`waitgraph::lower`): channel `c`
+    /// becomes task `T_c` with the signal pair `snd`/`rcv`, one per port.
+    /// A select without `default` contributes one wait edge per arm (the
+    /// accept-alternative shape); a `default` arm contributes none — the
+    /// select never blocks. Returns the graph and the wait-point node
+    /// indices in wait-edge order.
+    #[must_use]
+    pub fn lower(&self) -> (SyncGraph, Vec<usize>) {
+        let signal_of = |p: usize| (port_chan(p), port_dir(p) as usize);
+        waitgraph::lower(&self.chans, &["snd", "rcv"], signal_of, &self.edges, |e| Branch {
+            wait: (
+                format!("{} blocked in {}", self.port_name(e.from), e.proc_name),
+                e.blocked_span,
+            ),
+            request: (
+                format!("{} starved by {}", self.port_name(e.to), e.proc_name),
+                e.withheld_span,
+            ),
+        })
     }
 
     /// Render one issue as a human-readable warning line.
@@ -190,16 +134,10 @@ impl CommGraph {
     /// (3:5); …)`.
     #[must_use]
     pub fn render_cycle(&self, c: &CommCycle) -> String {
-        let ring: Vec<String> = c
-            .ports
-            .iter()
-            .chain(c.ports.first())
-            .map(|&p| self.port_name(p))
-            .collect();
-        let sites: Vec<String> = c
-            .chain
-            .iter()
-            .map(|e| {
+        waitgraph::render_ring(
+            c,
+            |p| self.port_name(p),
+            |e| {
                 format!(
                     "proc {} blocks at {} {} ({}) withholding {} {} ({})",
                     e.proc_name,
@@ -210,9 +148,8 @@ impl CommGraph {
                     self.chan_name(e.withheld_chan),
                     e.withheld_span
                 )
-            })
-            .collect();
-        format!("{} ({})", ring.join(" → "), sites.join("; "))
+            },
+        )
     }
 }
 
@@ -238,7 +175,7 @@ mod tests {
         let cycles = g.cycles();
         assert_eq!(cycles.len(), 1);
         let c = &cycles[0];
-        assert_eq!(c.ports.len(), 2);
+        assert_eq!(c.nodes.len(), 2);
         for e in &c.chain {
             assert!(e.blocked_span.is_real() && e.withheld_span.is_real());
         }
@@ -263,7 +200,7 @@ mod tests {
         let g = graph("chan a; proc p { send a; recv a; }");
         let cycles = g.cycles();
         assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].ports, [0]);
+        assert_eq!(cycles[0].nodes, [0]);
         let rendered = g.render_cycle(&cycles[0]);
         assert!(rendered.contains("a! → a!"), "got: {rendered}");
     }
@@ -277,9 +214,9 @@ mod tests {
         let c1 = graph(src).cycles();
         let c2 = graph(src).cycles();
         assert_eq!(c1.len(), 1);
-        assert_eq!(c1[0].ports, c2[0].ports);
-        assert_eq!(c1[0].ports.len(), 3);
-        assert_eq!(c1[0].ports[0], 0, "canonical start = smallest id");
+        assert_eq!(c1[0].nodes, c2[0].nodes);
+        assert_eq!(c1[0].nodes.len(), 3);
+        assert_eq!(c1[0].nodes[0], 0, "canonical start = smallest id");
     }
 
     #[test]

@@ -26,12 +26,11 @@
 //!   records which ports a process may block at and which ops it
 //!   withholds while blocked; the resulting communication dependency
 //!   graph ([`commgraph`]) has a cycle iff processes can starve each
-//!   other in a ring. The [`lower`] module maps each wait edge onto the
-//!   CLG (channel ↦ task with a send/recv signal pair, wait edge ↦
-//!   accept→send branch) so the whole existing stack — naive cycle
-//!   check, refined per-head SCC search, wavesim oracle in
-//!   `ignore_stalls` mode — answers the deadlock question exactly, the
-//!   same construction (and exactness argument) as the `.lok` frontend.
+//!   other in a ring. Its cycles and the exact lowering onto the CLG
+//!   (channel ↦ task with a send/recv signal pair, wait edge ↦
+//!   wait-point → request branch) come from the shared
+//!   [`waitgraph`](crate::waitgraph) core — the same construction and
+//!   exactness argument as the `.lok` frontend.
 //! * **Livelock** — loops traversable forever without externally
 //!   visible communication ([`livelock`]): spin-on-default selects with
 //!   starved arms and closed-channel busy-waits, reported as
@@ -49,7 +48,6 @@ pub mod ast;
 pub mod commgraph;
 pub mod effects;
 pub mod livelock;
-pub mod lower;
 pub mod parser;
 
 pub use ast::{Capacity, ChanProgram, ChanStmt, Dir, Proc, SelectArm};
@@ -79,7 +77,7 @@ pub struct ChanModel {
     /// Static livelock witnesses (empty iff no loop admits a silent
     /// traversal with a spin or busy-wait).
     pub livelocks: Vec<LivelockWitness>,
-    /// The lowered sync graph ([`lower::lower`]).
+    /// The lowered sync graph ([`CommGraph::lower`]).
     pub sg: SyncGraph,
     /// Sync-graph indices of the wait-point (`A`) nodes, in wait-edge
     /// order — the head seeds for the refined analysis.
@@ -92,6 +90,18 @@ impl ChanModel {
     #[must_use]
     pub fn render_livelock(&self, w: &LivelockWitness) -> String {
         livelock::render_livelock(&self.program, w)
+    }
+
+    /// The engine's witness list: every channel-wait cycle with its
+    /// span-anchored wait chain, then every livelock witness (empty iff
+    /// the model is deadlock- and livelock-free).
+    #[must_use]
+    pub fn witnesses(&self) -> Vec<String> {
+        self.cycles
+            .iter()
+            .map(|c| format!("channel-wait cycle: {}", self.comm_graph.render_cycle(c)))
+            .chain(self.livelocks.iter().map(|w| self.render_livelock(w)))
+            .collect()
     }
 }
 
@@ -123,7 +133,7 @@ impl Frontend for ChanFrontend {
             .collect();
         let cycles = comm_graph.cycles();
         let livelocks = livelock::find_livelocks(&program, &effects);
-        let (sg, wait_points) = lower::lower(&comm_graph);
+        let (sg, wait_points) = comm_graph.lower();
         Ok(LoadedModel {
             lang: Lang::Chan,
             ir: ModelIr::Chan(Box::new(ChanModel {

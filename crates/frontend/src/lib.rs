@@ -18,10 +18,11 @@
 //! whose lock-acquisition-order cycles lower onto CLG cycles — see
 //! [`lok`]), and [`ChanFrontend`] (the `.chan` channel/select language,
 //! whose port-wait cycles lower the same way and which adds a static
-//! livelock classification — see [`chan`]). The [`registry`] resolves a
-//! frontend by file extension or explicit `--lang` name, and [`Lang`]
-//! doubles as the lint applicability key: each lint declares which
-//! languages it speaks.
+//! livelock classification — see [`chan`]). The two wait-graph
+//! frontends share one cycle finder and one lowering ([`waitgraph`]).
+//! The [`registry`] resolves a frontend by file extension or explicit
+//! `--lang` name, and [`Lang`] doubles as the lint applicability key:
+//! each lint declares which languages it speaks.
 
 use iwa_core::IwaError;
 use iwa_syncgraph::SyncGraph;
@@ -32,6 +33,7 @@ use std::path::Path;
 
 pub mod chan;
 pub mod lok;
+pub mod waitgraph;
 
 pub use chan::{ChanFrontend, ChanModel};
 pub use lok::{LokFrontend, LokModel};

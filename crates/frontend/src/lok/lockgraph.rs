@@ -13,10 +13,13 @@
 //!
 //! A self-edge `m → m` is a double acquire of a non-reentrant mutex —
 //! itself a deadlock — and shows up as a length-one [`LockCycle`].
+//! Cycles, witness rings, and the sync-graph lowering come from the
+//! shared [`waitgraph`] core.
 
 use super::ast::{LokProgram, LokStmt};
+use crate::waitgraph::{self, Branch, WaitCycle, WaitEdge};
 use iwa_core::Span;
-use iwa_graphs::{GraphBuilder, Scc};
+use iwa_syncgraph::SyncGraph;
 
 /// One lock-order edge: `thread` may hold `from` (acquired at
 /// `held_span`) while acquiring `to` (at `acquire_span`).
@@ -57,16 +60,15 @@ pub enum LockIssue {
     },
 }
 
-/// One lock-order cycle, with its witness acquisition chain.
-#[derive(Clone, Debug)]
-pub struct LockCycle {
-    /// The mutexes on the cycle, starting from the smallest id; length 1
-    /// for a double-acquire self-cycle.
-    pub mutexes: Vec<usize>,
-    /// The edges closing the cycle: `chain[i]` goes from `mutexes[i]` to
-    /// `mutexes[(i+1) % len]`, each carrying the spans of the two
-    /// acquire sites involved.
-    pub chain: Vec<LockEdge>,
+/// One lock-order cycle: `nodes` are the mutexes on the cycle, `chain`
+/// the acquisition edges closing it, each carrying the spans of the two
+/// acquire sites involved.
+pub type LockCycle = WaitCycle<LockEdge>;
+
+impl WaitEdge for LockEdge {
+    fn ends(&self) -> (usize, usize) {
+        (self.from, self.to)
+    }
 }
 
 /// The static lock-order graph of a [`LokProgram`].
@@ -230,89 +232,28 @@ impl LockGraph {
         self.mutexes.get(m).map_or("<unknown mutex>", String::as_str)
     }
 
-    /// Deterministic witness cycles: one canonical [`LockCycle`] per
-    /// non-trivial strong component (plus one per self-edge), found by a
-    /// shortest-cycle BFS from the component's smallest mutex id with
-    /// smallest-successor tie-breaking — byte-stable across runs.
+    /// Deterministic witness cycles (`waitgraph::cycles`): empty iff
+    /// the model is deadlock-free.
     #[must_use]
     pub fn cycles(&self) -> Vec<LockCycle> {
-        let n = self.num_mutexes();
-        let mut g: GraphBuilder<u32> = GraphBuilder::with_nodes(n);
-        for (i, e) in self.edges.iter().enumerate() {
-            g.add_edge(e.from, e.to, i as u32);
-        }
-        let g = g.freeze();
-        let scc = Scc::compute(&g, None);
-
-        let mut out = Vec::new();
-        // Self-cycles first: a double acquire deadlocks on its own, even
-        // inside a larger component.
-        for e in &self.edges {
-            if e.from == e.to {
-                out.push(LockCycle {
-                    mutexes: vec![e.from],
-                    chain: vec![e.clone()],
-                });
-            }
-        }
-        for comp in scc.nontrivial_components(&g) {
-            // A single node is only non-trivial through a self-edge,
-            // which was already emitted above.
-            if comp.len() < 2 {
-                continue;
-            }
-            let start = comp.iter().copied().min().expect("non-empty") as usize;
-            out.push(self.shortest_cycle_through(&g, &comp, start));
-        }
-        out.sort_by(|a, b| a.mutexes.cmp(&b.mutexes));
-        out
+        waitgraph::cycles(self.num_mutexes(), &self.edges)
     }
 
-    /// Shortest cycle through `start` staying inside `comp`, successors
-    /// in edge order (the CSR keeps per-source insertion order, which is
-    /// walk order — deterministic).
-    fn shortest_cycle_through(
-        &self,
-        g: &iwa_graphs::Csr<u32>,
-        comp: &[u32],
-        start: usize,
-    ) -> LockCycle {
-        let in_comp = |v: usize| comp.contains(&(v as u32));
-        // BFS over edges from `start`; parent[v] = edge index used to
-        // first reach v.
-        let mut parent: Vec<Option<u32>> = vec![None; g.num_nodes()];
-        let mut queue = std::collections::VecDeque::from([start]);
-        let mut closing: Option<u32> = None;
-        'bfs: while let Some(u) = queue.pop_front() {
-            for (&v, &eidx) in g.successors(u).iter().zip(g.successor_labels(u)) {
-                let v = v as usize;
-                // Self-edges are reported as their own length-1 cycles.
-                if v == u {
-                    continue;
-                }
-                if v == start {
-                    closing = Some(eidx);
-                    break 'bfs;
-                }
-                if in_comp(v) && parent[v].is_none() {
-                    parent[v] = Some(eidx);
-                    queue.push_back(v);
-                }
-            }
-        }
-        let closing = closing.expect("a non-trivial SCC has a cycle through every member");
-        let mut chain = vec![self.edges[closing as usize].clone()];
-        let mut cur = chain[0].from;
-        while cur != start {
-            let eidx = parent[cur].expect("BFS reached every chain node") as usize;
-            chain.push(self.edges[eidx].clone());
-            cur = self.edges[eidx].from;
-        }
-        chain.reverse();
-        LockCycle {
-            mutexes: chain.iter().map(|e| e.from).collect(),
-            chain,
-        }
+    /// Lower onto the sync-graph model (`waitgraph::lower`): mutex `m`
+    /// becomes task `T_m` with the one signal `held`. Returns the graph
+    /// and the hold-point node indices in lock-edge order.
+    #[must_use]
+    pub fn lower(&self) -> (SyncGraph, Vec<usize>) {
+        waitgraph::lower(&self.mutexes, &["held"], |m| (m, 0), &self.edges, |e| Branch {
+            wait: (
+                format!("{} held by {}", self.mutex_name(e.from), e.thread),
+                e.held_span,
+            ),
+            request: (
+                format!("{} wanted by {}", self.mutex_name(e.to), e.thread),
+                e.acquire_span,
+            ),
+        })
     }
 
     /// Render one issue as a human-readable warning line.
@@ -347,16 +288,10 @@ impl LockGraph {
     /// `a → b → a (thread t1 holds a (2:5) while locking b (3:5); …)`.
     #[must_use]
     pub fn render_cycle(&self, c: &LockCycle) -> String {
-        let ring: Vec<&str> = c
-            .mutexes
-            .iter()
-            .chain(c.mutexes.first())
-            .map(|&m| self.mutex_name(m))
-            .collect();
-        let sites: Vec<String> = c
-            .chain
-            .iter()
-            .map(|e| {
+        waitgraph::render_ring(
+            c,
+            |m| self.mutex_name(m).to_owned(),
+            |e| {
                 format!(
                     "thread {} holds {} ({}) while locking {} ({})",
                     e.thread,
@@ -365,9 +300,8 @@ impl LockGraph {
                     self.mutex_name(e.to),
                     e.acquire_span
                 )
-            })
-            .collect();
-        format!("{} ({})", ring.join(" → "), sites.join("; "))
+            },
+        )
     }
 }
 
@@ -400,7 +334,7 @@ mod tests {
         let cycles = g.cycles();
         assert_eq!(cycles.len(), 1);
         let c = &cycles[0];
-        assert_eq!(c.mutexes.len(), 2);
+        assert_eq!(c.nodes.len(), 2);
         assert_eq!(c.chain.len(), 2);
         for e in &c.chain {
             assert!(e.held_span.is_real() && e.acquire_span.is_real());
@@ -415,7 +349,7 @@ mod tests {
         let g = graph("thread t { lock a; lock a; unlock a; }");
         let cycles = g.cycles();
         assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].mutexes, [0]);
+        assert_eq!(cycles[0].nodes, [0]);
     }
 
     #[test]
@@ -478,8 +412,8 @@ mod tests {
         let c1 = g.cycles();
         let c2 = graph(src).cycles();
         assert_eq!(c1.len(), 1);
-        assert_eq!(c1[0].mutexes, c2[0].mutexes);
-        assert_eq!(c1[0].mutexes.len(), 3);
-        assert_eq!(c1[0].mutexes[0], 0, "canonical start = smallest id");
+        assert_eq!(c1[0].nodes, c2[0].nodes);
+        assert_eq!(c1[0].nodes.len(), 3);
+        assert_eq!(c1[0].nodes[0], 0, "canonical start = smallest id");
     }
 }

@@ -16,32 +16,14 @@
 //! circular wait, each holding one mutex while blocking on the next?
 //! Statically that is a cycle in the **lock-order graph** — the graph
 //! with an edge `m1 → m2` whenever some thread may hold `m1` while
-//! acquiring `m2` ([`lockgraph`]). The [`lower`] module maps that graph
-//! onto the paper's CLG machinery so the whole existing stack — naive
-//! cycle check, refined per-head SCC search, wavesim oracle — answers
-//! the lock question unchanged:
-//!
-//! * each mutex `m` becomes a task `T_m` carrying one signal `sig_m`;
-//! * each lock-order edge `(m1 → m2)` becomes a hold-point node `A`
-//!   (*accept* `sig_m1`) control-connected to a request node `B` (*send*
-//!   `sig_m2`) inside `T_m1`, as its own begin-to-end branch;
-//! * every task is skippable (an acquire site may simply not be reached).
-//!
-//! CLG cycles of the lowered graph then correspond exactly to lock-order
-//! cycles: a cycle must alternate `A → B` control edges with `B — A'`
-//! sync edges (a `B` node's only control successor is `e`), and each
-//! such alternation follows one lock edge. The same holds on the
-//! dynamic side — in a stuck wave, only hold-points have outgoing
-//! coupling edges, so every coupling cycle (the paper's deadlocked set
-//! `D`, Theorem 1) traces a lock cycle. One asymmetry remains: acyclic
-//! lock graphs still produce *stall-only* stuck waves (a skippable task
-//! that did start but finds no partner), which are benign here — the
-//! oracle must run with `ignore_stalls` (deadlock-only mode), and the
-//! stall half of the ladder does not apply to this frontend.
+//! acquiring `m2` ([`lockgraph`]). Its cycles, witness rings, and the
+//! exact lowering onto the paper's CLG (mutex `m` ↦ skippable task `T_m`
+//! with signal `held`; lock edge ↦ hold-point → request branch) come from
+//! the shared [`waitgraph`](crate::waitgraph) core, which also carries
+//! the exactness argument.
 
 pub mod ast;
 pub mod lockgraph;
-pub mod lower;
 pub mod parser;
 
 pub use ast::{LokProgram, LokStmt, Thread};
@@ -63,11 +45,23 @@ pub struct LokModel {
     /// Deterministic witness cycles of the lock-order graph (empty iff
     /// the model is deadlock-free).
     pub cycles: Vec<LockCycle>,
-    /// The lowered sync graph ([`lower::lower`]).
+    /// The lowered sync graph ([`LockGraph::lower`]).
     pub sg: SyncGraph,
     /// Sync-graph indices of the hold-point (`A`) nodes, in lock-edge
     /// order — the head seeds for the refined analysis.
     pub hold_points: Vec<usize>,
+}
+
+impl LokModel {
+    /// The engine's witness list: every lock-order cycle with its
+    /// span-anchored acquisition chain (empty iff deadlock-free).
+    #[must_use]
+    pub fn witnesses(&self) -> Vec<String> {
+        self.cycles
+            .iter()
+            .map(|c| format!("lock-order cycle: {}", self.lock_graph.render_cycle(c)))
+            .collect()
+    }
 }
 
 /// The `.lok` frontend.
@@ -95,7 +89,7 @@ impl Frontend for LokFrontend {
             .map(|i| lock_graph.render_issue(i))
             .collect();
         let cycles = lock_graph.cycles();
-        let (sg, hold_points) = lower::lower(&lock_graph);
+        let (sg, hold_points) = lock_graph.lower();
         Ok(LoadedModel {
             lang: Lang::Lok,
             ir: ModelIr::Lok(Box::new(LokModel {

@@ -41,7 +41,7 @@ impl LintPass for LockOrderCycle {
 
     fn run_lok(&self, model: &LokModel, out: &mut Vec<Diagnostic>) {
         for c in &model.cycles {
-            if c.mutexes.len() < 2 {
+            if c.nodes.len() < 2 {
                 continue; // self-cycles are `double-lock`'s
             }
             out.push(finding(
@@ -76,7 +76,7 @@ impl LintPass for DoubleLock {
 
     fn run_lok(&self, model: &LokModel, out: &mut Vec<Diagnostic>) {
         for c in &model.cycles {
-            let [m] = c.mutexes[..] else { continue };
+            let [m] = c.nodes[..] else { continue };
             let e = &c.chain[0];
             out.push(finding(
                 self.lint(),

@@ -14,16 +14,6 @@ cargo test -q --workspace
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> cargo clippy (legacy-api on) -- -D warnings"
-# The deprecated PR-2 surface lives behind the now default-OFF
-# `legacy-api` feature; the plain workspace clippy above already proves
-# the default build is off the shims, and this stage keeps the opt-in
-# build lint-clean until the shims are removed (DESIGN.md §7).
-cargo clippy -p iwa --features legacy-api --all-targets -- -D warnings
-
-echo "==> cargo test (legacy-api shims still pinned)"
-cargo test -q -p iwa --features legacy-api --test deprecated_shims
-
 echo "==> multi-job determinism: iwa check corpus -j 1/2/8 agree byte-for-byte"
 # A step budget (not a wall-clock one) keeps trip-vs-complete independent
 # of scheduling. Only wall-clock fields and the quarantined scheduling
@@ -144,5 +134,12 @@ echo "==> chaos smoke: iwa serve-bench under a panic+timeout fault plan"
 echo "==> serve bench: clean replay writes a valid BENCH_serve.json"
 ./target/release/iwa serve-bench --smoke --clients 2 --out "$tmpdir/BENCH_serve.json"
 ./target/release/iwa serve-bench --validate "$tmpdir/BENCH_serve.json"
+
+echo "==> verdict benchmark: builds and passes its own tests against this tree"
+# verdict-bench/ is a workspace of its own that compiles against the
+# crates' public surface by path; building it here turns a change to that
+# surface into a CI failure rather than a broken benchmark run.
+cargo build --release --offline --manifest-path verdict-bench/Cargo.toml
+cargo test -q --release --offline --manifest-path verdict-bench/Cargo.toml
 
 echo "==> CI green"

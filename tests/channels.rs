@@ -1,9 +1,10 @@
 //! Cross-checks for the `.chan` channel/select frontend over
-//! `corpus/channels/`.
+//! `corpus/channels/` and the `chan_ring`/`chan_select_storm` workload
+//! generators.
 //!
-//! Every fixture carries an `// expect: deadlock|livelock|clean` header.
-//! The *deadlock* half of each verdict must agree across four
-//! independent answers:
+//! Every fixture carries an `// expect: deadlock|livelock|clean` header,
+//! and every generator documents its flavour. The *deadlock* half of each
+//! verdict must agree across four independent answers:
 //!
 //! 1. the communication dependency graph (cycles present iff deadlock);
 //! 2. the naive CLG cycle check on the lowered sync graph — exact for
@@ -17,12 +18,13 @@
 //!
 //! The *livelock* half lives in the AST (the lowering is
 //! control-loop-free), so it is checked against the static witness list,
-//! and the engine ladder must fold both halves into one verdict:
-//! `Anomalous` iff the fixture deadlocks or livelocks.
+//! and the engine must fold both halves into one verdict from every start
+//! rung, without degrading: `Anomalous` iff the input deadlocks or
+//! livelocks.
 
 use iwa::analysis::{naive_analysis, AnalysisCtx, RefinedOptions};
-use iwa::engine::{analyze_model, EngineOptions, EngineVerdict};
-use iwa::frontend::{registry, Lang};
+use iwa::engine::{analyze_model, EngineOptions, EngineVerdict, LADDER};
+use iwa::frontend::{registry, Lang, LoadedModel};
 use iwa::wavesim::{explore, ExploreConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -64,75 +66,102 @@ fn expectation(name: &str, src: &str) -> Expect {
     }
 }
 
+/// Assert that every analysis agrees with `expect` on `model`.
+fn assert_agrees(name: &str, model: &LoadedModel, expect: Expect) {
+    let deadlock = expect == Expect::Deadlock;
+    let m = model.as_chan().expect("chan frontend yields a chan model");
+
+    // 1. Communication dependency graph.
+    assert_eq!(
+        !m.cycles.is_empty(),
+        deadlock,
+        "{name}: comm graph cycles {:?}",
+        m.cycles
+    );
+    assert_eq!(
+        !m.livelocks.is_empty(),
+        expect == Expect::Livelock,
+        "{name}: livelock witnesses {:?}",
+        m.livelocks
+    );
+
+    // 2. Naive §3.1 CLG check — exact for this lowering.
+    let naive = naive_analysis(&m.sg);
+    assert_eq!(naive.deadlock_free, !deadlock, "{name}: naive");
+
+    // 3. Refined search seeded from the frontend's wait points.
+    let refined = AnalysisCtx::builder()
+        .build()
+        .refined_seeded(&m.sg, &m.wait_points, &RefinedOptions::default())
+        .unwrap_or_else(|e| panic!("{name}: refined: {e}"));
+    assert_eq!(refined.deadlock_free, !deadlock, "{name}: refined");
+    assert_eq!(
+        refined.flagged.is_empty(),
+        !deadlock,
+        "{name}: flagged heads"
+    );
+
+    // 4. Exhaustive wave oracle, deadlock-only mode.
+    let e = explore(
+        &m.sg,
+        &ExploreConfig {
+            ignore_stalls: true,
+            ..ExploreConfig::default()
+        },
+    )
+    .unwrap_or_else(|err| panic!("{name}: oracle: {err}"));
+    assert_eq!(e.has_deadlock(), deadlock, "{name}: oracle");
+
+    // 5. The engine folds both halves into one verdict on every rung.
+    let want = if expect == Expect::Clean {
+        EngineVerdict::Clean
+    } else {
+        EngineVerdict::Anomalous
+    };
+    for start in LADDER {
+        let opts = EngineOptions {
+            start,
+            ..EngineOptions::default()
+        };
+        let r = analyze_model(model, &opts).unwrap_or_else(|err| panic!("{name}: engine: {err}"));
+        assert_eq!((r.verdict, r.rung, r.degraded), (want, start, false), "{name} from {start}");
+        assert_eq!(r.flagged, m.witnesses(), "{name} from {start}");
+        assert_eq!(r.flagged.is_empty(), expect == Expect::Clean, "{name}: engine flagged");
+    }
+}
+
 /// Communication graph, naive CLG check, seeded refined search, wave
 /// oracle, and the engine ladder all agree with each fixture's
 /// `// expect:` header.
 #[test]
 fn every_fixture_agrees_across_all_analyses() {
     let frontend = registry::by_lang(Lang::Chan);
-    let ctx = AnalysisCtx::builder().build();
     for (name, src) in corpus_fixtures() {
         let expect = expectation(&name, &src);
-        let deadlock = expect == Expect::Deadlock;
         let model = frontend.load(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let m = model.as_chan().expect("chan frontend yields a chan model");
+        assert_agrees(&name, &model, expect);
+    }
+}
 
-        // 1. Communication dependency graph.
-        assert_eq!(
-            !m.cycles.is_empty(),
-            deadlock,
-            "{name}: comm graph cycles {:?}",
-            m.cycles
-        );
-        assert_eq!(
-            !m.livelocks.is_empty(),
-            expect == Expect::Livelock,
-            "{name}: livelock witnesses {:?}",
-            m.livelocks
-        );
-
-        // 2. Naive §3.1 CLG check — exact for this lowering.
-        let naive = naive_analysis(&m.sg);
-        assert_eq!(naive.deadlock_free, !deadlock, "{name}: naive");
-
-        // 3. Refined search seeded from the frontend's wait points.
-        let refined = ctx
-            .refined_seeded(&m.sg, &m.wait_points, &RefinedOptions::default())
-            .unwrap_or_else(|e| panic!("{name}: refined: {e}"));
-        assert_eq!(refined.deadlock_free, !deadlock, "{name}: refined");
-        assert_eq!(
-            refined.flagged.is_empty(),
-            !deadlock,
-            "{name}: flagged heads"
-        );
-
-        // 4. Exhaustive wave oracle, deadlock-only mode.
-        let e = explore(
-            &m.sg,
-            &ExploreConfig {
-                ignore_stalls: true,
-                ..ExploreConfig::default()
-            },
-        )
-        .unwrap_or_else(|err| panic!("{name}: oracle: {err}"));
-        assert_eq!(e.has_deadlock(), deadlock, "{name}: oracle");
-
-        // 5. The engine ladder folds both halves into one verdict.
-        let report = analyze_model(&model, &EngineOptions::default())
-            .unwrap_or_else(|err| panic!("{name}: engine: {err}"));
-        let want = if expect == Expect::Clean {
-            EngineVerdict::Clean
-        } else {
-            EngineVerdict::Anomalous
-        };
-        assert_eq!(report.verdict, want, "{name}: engine verdict");
-        assert!(!report.degraded, "{name}: engine degraded");
-        assert_eq!(
-            report.flagged.is_empty(),
-            expect == Expect::Clean,
-            "{name}: engine flagged {:?}",
-            report.flagged
-        );
+/// The same answers on the bench generators at sizes the oracle explores
+/// within its default limits: the ring deadlocks unless broken, the
+/// storm livelocks iff it spins.
+#[test]
+fn generator_families_agree_across_all_analyses() {
+    use iwa::workloads::chan::{chan_ring, chan_select_storm};
+    let frontend = registry::by_lang(Lang::Chan);
+    for n in 2..=4 {
+        let inputs = [
+            ("chan_ring", chan_ring(n, false), Expect::Deadlock),
+            ("chan_ring_broken", chan_ring(n, true), Expect::Clean),
+            ("chan_select_storm_spin", chan_select_storm(n, true), Expect::Livelock),
+            ("chan_select_storm", chan_select_storm(n, false), Expect::Clean),
+        ];
+        for (family, src, expect) in inputs {
+            let name = format!("{family}({n})");
+            let model = frontend.load(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_agrees(&name, &model, expect);
+        }
     }
 }
 

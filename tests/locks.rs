@@ -1,7 +1,9 @@
-//! Cross-checks for the `.lok` lock-order frontend over `corpus/locks/`.
+//! Cross-checks for the `.lok` lock-order frontend over `corpus/locks/`
+//! and the `lock_chain`/`lock_mesh` workload generators.
 //!
-//! Every fixture carries an `// expect: deadlock|clean` header. For each
-//! one, four independent answers must agree with it and with each other:
+//! Every fixture carries an `// expect: deadlock|clean` header, and every
+//! generator documents its flavour. For each input, five independent
+//! answers must agree with it and with each other:
 //!
 //! 1. the static lock-order graph (cycles present iff deadlock);
 //! 2. the naive CLG cycle check on the lowered sync graph — exact for
@@ -9,10 +11,13 @@
 //!    cycle and vice versa;
 //! 3. the refined per-head search seeded with the frontend's hold points;
 //! 4. the wavesim oracle in deadlock-only mode (`ignore_stalls`: the
-//!    lowering makes every task skippable, so acyclic models still stall).
+//!    lowering makes every task skippable, so acyclic models still stall);
+//! 5. the engine's `analyze_model` from every start rung, which answers
+//!    from the cycle set directly and must never degrade.
 
 use iwa::analysis::{naive_analysis, AnalysisCtx, RefinedOptions};
-use iwa::frontend::{registry, Lang};
+use iwa::engine::{analyze_model, EngineOptions, EngineVerdict, LADDER};
+use iwa::frontend::{registry, Lang, LoadedModel};
 use iwa::wavesim::{explore, ExploreConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -45,50 +50,90 @@ fn expectation(name: &str, src: &str) -> bool {
     }
 }
 
-/// Static graph, naive CLG check, seeded refined search, and the wave
-/// oracle all agree with each fixture's `// expect:` header.
+/// Assert that all five answers agree that `model` deadlocks iff
+/// `expect_deadlock`.
+fn assert_agrees(name: &str, model: &LoadedModel, expect_deadlock: bool) {
+    let m = model.as_lok().expect("lok frontend yields a lok model");
+
+    // 1. Lock-order graph.
+    assert_eq!(
+        !m.cycles.is_empty(),
+        expect_deadlock,
+        "{name}: lock graph cycles {:?}",
+        m.cycles
+    );
+
+    // 2. Naive §3.1 CLG check — exact for this lowering.
+    let naive = naive_analysis(&m.sg);
+    assert_eq!(naive.deadlock_free, !expect_deadlock, "{name}: naive");
+
+    // 3. Refined search seeded from the frontend's hold points.
+    let refined = AnalysisCtx::builder()
+        .build()
+        .refined_seeded(&m.sg, &m.hold_points, &RefinedOptions::default())
+        .unwrap_or_else(|e| panic!("{name}: refined: {e}"));
+    assert_eq!(refined.deadlock_free, !expect_deadlock, "{name}: refined");
+    assert_eq!(
+        refined.flagged.is_empty(),
+        !expect_deadlock,
+        "{name}: flagged heads"
+    );
+
+    // 4. Exhaustive wave oracle, deadlock-only mode.
+    let e = explore(
+        &m.sg,
+        &ExploreConfig {
+            ignore_stalls: true,
+            ..ExploreConfig::default()
+        },
+    )
+    .unwrap_or_else(|err| panic!("{name}: oracle: {err}"));
+    assert_eq!(e.has_deadlock(), expect_deadlock, "{name}: oracle");
+
+    // 5. The engine, from every start rung, reports the cycle set.
+    let want = if expect_deadlock {
+        EngineVerdict::Anomalous
+    } else {
+        EngineVerdict::Clean
+    };
+    for start in LADDER {
+        let opts = EngineOptions {
+            start,
+            ..EngineOptions::default()
+        };
+        let r = analyze_model(model, &opts).unwrap_or_else(|err| panic!("{name}: engine: {err}"));
+        assert_eq!((r.verdict, r.rung, r.degraded), (want, start, false), "{name} from {start}");
+        assert_eq!(r.flagged, m.witnesses(), "{name} from {start}");
+    }
+}
+
+/// Static graph, naive CLG check, seeded refined search, the wave oracle,
+/// and the engine all agree with each fixture's `// expect:` header.
 #[test]
 fn every_fixture_agrees_across_all_four_analyses() {
     let frontend = registry::by_lang(Lang::Lok);
-    let ctx = AnalysisCtx::builder().build();
     for (name, src) in corpus_fixtures() {
         let expect_deadlock = expectation(&name, &src);
         let model = frontend.load(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let m = model.as_lok().expect("lok frontend yields a lok model");
+        assert_agrees(&name, &model, expect_deadlock);
+    }
+}
 
-        // 1. Lock-order graph.
-        assert_eq!(
-            !m.cycles.is_empty(),
-            expect_deadlock,
-            "{name}: lock graph cycles {:?}",
-            m.cycles
-        );
-
-        // 2. Naive §3.1 CLG check — exact for this lowering.
-        let naive = naive_analysis(&m.sg);
-        assert_eq!(naive.deadlock_free, !expect_deadlock, "{name}: naive");
-
-        // 3. Refined search seeded from the frontend's hold points.
-        let refined = ctx
-            .refined_seeded(&m.sg, &m.hold_points, &RefinedOptions::default())
-            .unwrap_or_else(|e| panic!("{name}: refined: {e}"));
-        assert_eq!(refined.deadlock_free, !expect_deadlock, "{name}: refined");
-        assert_eq!(
-            refined.flagged.is_empty(),
-            !expect_deadlock,
-            "{name}: flagged heads"
-        );
-
-        // 4. Exhaustive wave oracle, deadlock-only mode.
-        let e = explore(
-            &m.sg,
-            &ExploreConfig {
-                ignore_stalls: true,
-                ..ExploreConfig::default()
-            },
-        )
-        .unwrap_or_else(|err| panic!("{name}: oracle: {err}"));
-        assert_eq!(e.has_deadlock(), expect_deadlock, "{name}: oracle");
+/// The same five answers on the bench generators at sizes the oracle
+/// explores within its default limits: unordered chains and meshes
+/// deadlock, ordered ones are clean.
+#[test]
+fn generator_families_agree_across_all_analyses() {
+    use iwa::workloads::locks::{lock_chain, lock_mesh};
+    let frontend = registry::by_lang(Lang::Lok);
+    for n in 2..=4 {
+        for ordered in [false, true] {
+            for (family, src) in [("lock_chain", lock_chain(n, ordered)), ("lock_mesh", lock_mesh(n, ordered))] {
+                let name = format!("{family}({n}, ordered: {ordered})");
+                let model = frontend.load(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_agrees(&name, &model, !ordered);
+            }
+        }
     }
 }
 
