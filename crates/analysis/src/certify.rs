@@ -46,6 +46,10 @@ pub struct Certificate {
     /// Sync-graph size after any unrolling: `(nodes, control edges, sync
     /// edges)`.
     pub graph_size: (usize, usize, usize),
+    /// The sync graph the deadlock analysis ran on (after any inlining and
+    /// unrolling). The node indices in [`refined`](Certificate::refined)
+    /// index this graph, so witnesses are named from it.
+    pub graph: SyncGraph,
     /// The naive §3.1 result (reported for comparison; not the verdict).
     pub naive: NaiveResult,
     /// The refined §4.2 result — the deadlock verdict.
@@ -165,6 +169,7 @@ pub(crate) fn certify_impl(
         was_inlined,
         was_unrolled,
         graph_size,
+        graph: sg,
         naive,
         refined,
         stall,

@@ -39,5 +39,5 @@ pub use ctx::AnalysisCtx;
 pub use exact::{ConstraintSet, CycleWitness, ExactBudget, ExactResult, SeqRelation};
 pub use naive::{naive_analysis, NaiveResult};
 pub use refined::{FlaggedHead, RefinedOptions, RefinedResult, Tier};
-pub use sequence::SequenceInfo;
+pub use sequence::{FinishOrder, SequenceInfo};
 pub use stall::{StallOptions, StallReport, StallVerdict};

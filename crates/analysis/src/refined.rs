@@ -39,12 +39,11 @@
 
 use crate::coexec::CoexecInfo;
 use crate::ctx::AnalysisCtx;
-use crate::sequence::SequenceInfo;
+use crate::sequence::{FinishOrder, SequenceInfo};
 use iwa_core::obs::Counters;
 use iwa_core::{pool, IwaError};
 use iwa_graphs::{BitSet, Scc};
 use iwa_syncgraph::{Clg, PortClg, SyncGraph};
-
 
 /// Which accuracy/cost point of the paper's spectrum to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -153,13 +152,36 @@ pub struct RefinedResult {
 /// Lemma 1 unrolling first — the [`AnalysisCtx::certify`] driver does);
 /// with control cycles the result is still safe but every loop is flagged.
 ///
-/// The ctx budget is probed once per head hypothesis and checkpointed once
-/// per marked SCC search, so higher tiers (which run more searches) consume
-/// proportionally more steps — the property the engine's degradation
-/// ladder relies on. `items` in a [`IwaError::BudgetExceeded`] counts SCC
-/// runs completed before the trip.
+/// The ctx budget is probed by the ordering dataflow, once per head
+/// hypothesis, and checkpointed once per marked SCC search, so higher
+/// tiers (which run more searches) consume proportionally more steps — the
+/// property the engine's degradation ladder relies on. `items` in a
+/// [`IwaError::BudgetExceeded`] counts SCC runs completed before the trip.
 pub(crate) fn refined_impl(
     sg: &SyncGraph,
+    opts: &RefinedOptions,
+    ctx: &AnalysisCtx,
+) -> Result<RefinedResult, IwaError> {
+    build_tables_and_search(sg, None, opts, ctx)
+}
+
+/// [`AnalysisCtx::refined_seeded`]: build the supporting tables, then run
+/// the marked searches over an explicit hypothesis set.
+pub(crate) fn refined_seeded_impl(
+    sg: &SyncGraph,
+    seeds: &[usize],
+    opts: &RefinedOptions,
+    ctx: &AnalysisCtx,
+) -> Result<RefinedResult, IwaError> {
+    build_tables_and_search(sg, Some(seeds), opts, ctx)
+}
+
+/// Build the CLG, `SEQUENCEABLE` and `NOT-COEXEC` tables under the ctx
+/// budget, run the search, and commit the ordering dataflow's word count
+/// with the search's own counters (commit-on-completion).
+fn build_tables_and_search(
+    sg: &SyncGraph,
+    seeds: Option<&[usize]>,
     opts: &RefinedOptions,
     ctx: &AnalysisCtx,
 ) -> Result<RefinedResult, IwaError> {
@@ -169,7 +191,7 @@ pub(crate) fn refined_impl(
     };
     let seq = {
         let _span = ctx.span("analysis", "sequence");
-        SequenceInfo::compute(sg)
+        SequenceInfo::compute_budgeted(sg, ctx.budget())?
     };
     let cx = {
         let _span = ctx.span("analysis", "coexec");
@@ -179,7 +201,12 @@ pub(crate) fn refined_impl(
             CoexecInfo::compute(sg)
         }
     };
-    refined_with_impl(sg, &clg, &seq, &cx, opts, ctx)
+    let result = refined_seeded_with_impl(sg, &clg, &seq, &cx, seeds, opts, ctx)?;
+    ctx.commit_metrics(&Counters {
+        sequence_word_ops: seq.word_ops(),
+        ..Counters::default()
+    });
+    Ok(result)
 }
 
 /// The outcome of one head hypothesis: SCC searches performed, the
@@ -205,31 +232,21 @@ pub(crate) fn refined_with_impl(
     refined_seeded_with_impl(sg, clg, seq, cx, None, opts, ctx)
 }
 
-/// [`AnalysisCtx::refined_seeded`]: build the supporting tables, then run
-/// the marked searches over an explicit hypothesis set.
-pub(crate) fn refined_seeded_impl(
-    sg: &SyncGraph,
-    seeds: &[usize],
-    opts: &RefinedOptions,
-    ctx: &AnalysisCtx,
-) -> Result<RefinedResult, IwaError> {
-    let clg = {
-        let _span = ctx.span("analysis", "clg");
-        Clg::build(sg)
-    };
-    let seq = {
-        let _span = ctx.span("analysis", "sequence");
-        SequenceInfo::compute(sg)
-    };
-    let cx = {
-        let _span = ctx.span("analysis", "coexec");
-        if opts.use_condition_coexec {
-            CoexecInfo::compute_with_conditions(sg)
-        } else {
-            CoexecInfo::compute(sg)
-        }
-    };
-    refined_seeded_with_impl(sg, &clg, &seq, &cx, Some(seeds), opts, ctx)
+/// The immutable tables every head hypothesis of one refined call reads.
+struct Tables<'a> {
+    sg: &'a SyncGraph,
+    pg: &'a PortClg,
+    /// The shared SCC decomposition of `pg`.
+    full: &'a Scc,
+    seq: &'a SequenceInfo,
+    /// The finish-before relation, built only when `opts` reads it
+    /// (constraint 4 or the literal-relation ablation).
+    finish: Option<&'a FinishOrder>,
+    cx: &'a CoexecInfo,
+    opts: &'a RefinedOptions,
+    /// Constraint-4 rescued nodes.
+    rescued: &'a [usize],
+    ctx: &'a AnalysisCtx,
 }
 
 /// The shared per-head search loop. `seeds` overrides the hypothesis set:
@@ -247,10 +264,15 @@ pub(crate) fn refined_seeded_with_impl(
     opts: &RefinedOptions,
     ctx: &AnalysisCtx,
 ) -> Result<RefinedResult, IwaError> {
-    let rescued = if opts.apply_constraint4 {
-        constraint4_rescued(sg, seq)
-    } else {
-        Vec::new()
+    let finish = (opts.apply_constraint4
+        || (opts.use_sequenceable && opts.paper_sequence_relation))
+        .then(|| {
+            let _span = ctx.span("analysis", "finish order");
+            FinishOrder::compute(sg, seq)
+        });
+    let rescued = match &finish {
+        Some(fo) if opts.apply_constraint4 => constraint4_rescued(sg, fo),
+        _ => Vec::new(),
     };
     // Constraint-4 rescued nodes can never be WAITING on an anomalous
     // wave, so they are dropped from the hypothesis list up front.
@@ -273,12 +295,23 @@ pub(crate) fn refined_seeded_with_impl(
         let _span = ctx.span("analysis", "shared scc");
         Scc::compute(&pg.graph, None)
     };
+    let tables = Tables {
+        sg,
+        pg: &pg,
+        full: &full,
+        seq,
+        finish: finish.as_ref(),
+        cx,
+        opts,
+        rescued: &rescued,
+        ctx,
+    };
 
     let mut search_span = ctx
         .span("analysis", "head search")
         .map(|s| s.arg("heads", heads.len() as u64));
     let (outcomes, pool_stats) = pool::try_map_stats(ctx.num_workers(), heads.len(), |i| {
-        examine_head(sg, &pg, &full, seq, cx, opts, heads[i], &rescued, ctx)
+        examine_head(&tables, heads[i])
     });
     // Steal counts are scheduling-dependent by nature; recording them
     // even for a tripped run keeps the quarantined sched stats honest.
@@ -317,21 +350,10 @@ pub(crate) fn refined_seeded_with_impl(
 /// any pair/tail confirmation the tier asks for. This is the unit of
 /// parallel work — it touches only shared immutable tables and the
 /// shared budget.
-#[allow(clippy::too_many_arguments)]
-fn examine_head(
-    sg: &SyncGraph,
-    pg: &PortClg,
-    full: &Scc,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
-    opts: &RefinedOptions,
-    h: usize,
-    rescued: &[usize],
-    ctx: &AnalysisCtx,
-) -> Result<HeadOutcome, IwaError> {
-    let budget = ctx.budget();
+fn examine_head(t: &Tables<'_>, h: usize) -> Result<HeadOutcome, IwaError> {
+    let budget = t.ctx.budget();
     budget.probe("refined head hypotheses")?;
-    let _span = ctx.span("refined", format!("head {h}"));
+    let _span = t.ctx.span("refined", format!("head {h}"));
     let mut delta = Counters {
         heads_examined: 1,
         ..Counters::default()
@@ -339,17 +361,15 @@ fn examine_head(
     // Only *incremental* masked Tarjan passes count here; hypotheses the
     // shared decomposition refutes outright cost zero runs.
     let mut runs = 0usize;
-    let Some(component) = marked_search(
-        sg, pg, full, seq, cx, &[h], None, rescued, opts, ctx, &mut runs, &mut delta,
-    )?
-    else {
+    let Some(component) = marked_search(t, &[h], None, &mut runs, &mut delta)? else {
         delta.scc_runs = runs as u64;
         return Ok((runs, None, delta)); // h certified
     };
+    let sg = t.sg;
     let single_task = component
         .iter()
         .all(|&n| sg.node(n).task == sg.node(h).task);
-    let flag = match opts.tier {
+    let flag = match t.opts.tier {
         Tier::Heads => Some(FlaggedHead {
             head: h,
             partner: None,
@@ -364,22 +384,19 @@ fn examine_head(
                 component,
             })
         }
-        Tier::HeadPairs => confirm_with_second_head(
-            sg, pg, full, seq, cx, opts, h, &component, rescued, &mut runs, ctx, &mut delta,
-        )?
-        .map(|(h2, comp2)| FlaggedHead {
-            head: h,
-            partner: Some(h2),
-            component: comp2,
-        }),
-        Tier::HeadTails => confirm_with_tail(
-            sg, pg, full, seq, cx, opts, h, &component, rescued, &mut runs, ctx, &mut delta,
-        )?
-        .map(|(t, comp2)| FlaggedHead {
-            head: h,
-            partner: Some(t),
-            component: comp2,
-        }),
+        Tier::HeadPairs => confirm_with_second_head(t, h, &component, &mut runs, &mut delta)?
+            .map(|(h2, comp2)| FlaggedHead {
+                head: h,
+                partner: Some(h2),
+                component: comp2,
+            }),
+        Tier::HeadTails => confirm_with_tail(t, h, &component, &mut runs, &mut delta)?.map(
+            |(tail, comp2)| FlaggedHead {
+                head: h,
+                partner: Some(tail),
+                component: comp2,
+            },
+        ),
     };
     delta.scc_runs = runs as u64;
     Ok((runs, flag, delta))
@@ -401,22 +418,23 @@ fn examine_head(
 /// components of `full` is refuted with no Tarjan pass at all; otherwise
 /// one masked pass runs, restricted to the witnesses' shared component
 /// (`runs` counts exactly the masked passes actually performed).
-#[allow(clippy::too_many_arguments)]
 fn marked_search(
-    sg: &SyncGraph,
-    pg: &PortClg,
-    full: &Scc,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
+    t: &Tables<'_>,
     heads: &[usize],
     tail: Option<usize>,
-    rescued: &[usize],
-    opts: &RefinedOptions,
-    ctx: &AnalysisCtx,
     runs: &mut usize,
     delta: &mut Counters,
 ) -> Result<Option<Vec<usize>>, IwaError> {
-    let budget = ctx.budget();
+    let Tables {
+        sg,
+        pg,
+        full,
+        seq,
+        cx,
+        opts,
+        ..
+    } = *t;
+    let budget = t.ctx.budget();
     // One checkpoint per marked search: the unit of work the paper's cost
     // bound counts, and the step currency of the engine's rung budgets.
     budget.checkpoint("refined marked SCC search")?;
@@ -428,16 +446,17 @@ fn marked_search(
 
     // Constraint-4 rescued nodes can never be WAITING on an anomalous
     // wave, hence never be heads of any deadlock cycle.
-    for &t in rescued {
-        sync_in_banned.insert(t);
+    for &r in t.rescued {
+        sync_in_banned.insert(r);
     }
     for &h in heads {
         if opts.use_sequenceable {
             if opts.paper_sequence_relation {
                 // Ablation path: the (unsound) literal relation has no
                 // precomputed rows; mark scalar.
+                let finish = t.finish.expect("built for the literal relation");
                 for k in sg.rendezvous_nodes() {
-                    if !seq.paper_sequenceable(sg, h, k) {
+                    if !finish.paper_sequenceable(sg, h, k) {
                         continue;
                     }
                     delta.sequenceable_hits += 1;
@@ -468,9 +487,9 @@ fn marked_search(
             do_not_enter.union_with(row);
         }
     }
-    if let Some(t) = tail {
+    if let Some(tl) = tail {
         if opts.use_not_coexec {
-            let row = cx.not_coexec_row(t);
+            let row = cx.not_coexec_row(tl);
             delta.not_coexec_hits += row.count() as u64;
             do_not_enter.union_with(row);
         }
@@ -480,17 +499,17 @@ fn marked_search(
         sync_in_banned.remove(h);
         do_not_enter.remove(h);
     }
-    if let Some(t) = tail {
-        sync_out_banned.remove(t);
-        do_not_enter.remove(t);
+    if let Some(tl) = tail {
+        sync_out_banned.remove(tl);
+        do_not_enter.remove(tl);
     }
 
     // Every witness must sit in one common non-trivial component — first
     // of the *shared* decomposition (free refutation), then of the masked
     // one.
     let mut witnesses: Vec<usize> = heads.iter().map(|&h| pg.in_node(h)).collect();
-    if let Some(t) = tail {
-        witnesses.push(pg.out_node(t));
+    if let Some(tl) = tail {
+        witnesses.push(pg.out_node(tl));
     }
     let first = witnesses[0];
     let full_comp = full.component_of(first);
@@ -541,25 +560,18 @@ fn marked_search(
 
 /// Head-pair confirmation: some second head in `component` must survive a
 /// jointly marked search together with `h`.
-#[allow(clippy::too_many_arguments)]
 fn confirm_with_second_head(
-    sg: &SyncGraph,
-    pg: &PortClg,
-    full: &Scc,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
-    opts: &RefinedOptions,
+    t: &Tables<'_>,
     h: usize,
     component: &[usize],
-    rescued: &[usize],
     runs: &mut usize,
-    ctx: &AnalysisCtx,
     delta: &mut Counters,
 ) -> Result<Option<(usize, Vec<usize>)>, IwaError> {
+    let sg = t.sg;
     let poss: Vec<usize> = sg.poss_heads();
     for &h2 in component {
-        ctx.budget().checkpoint("head-pair confirmation candidates")?;
-        if h2 == h || !poss.contains(&h2) || rescued.contains(&h2) {
+        t.ctx.budget().checkpoint("head-pair confirmation candidates")?;
+        if h2 == h || !poss.contains(&h2) || t.rescued.contains(&h2) {
             continue;
         }
         // Constraint 2: heads must not rendezvous with each other.
@@ -567,12 +579,10 @@ fn confirm_with_second_head(
             continue;
         }
         // Constraint 3a/3b on the pair itself.
-        if seq.wave_exclusive(sg, h, h2) || cx.not_coexec(sg, h, h2) {
+        if t.seq.wave_exclusive(sg, h, h2) || t.cx.not_coexec(sg, h, h2) {
             continue;
         }
-        if let Some(comp2) = marked_search(
-            sg, pg, full, seq, cx, &[h, h2], None, rescued, opts, ctx, runs, delta,
-        )? {
+        if let Some(comp2) = marked_search(t, &[h, h2], None, runs, delta)? {
             return Ok(Some((h2, comp2)));
         }
     }
@@ -581,21 +591,14 @@ fn confirm_with_second_head(
 
 /// Head–tail confirmation: some control descendant of `h` must survive as
 /// the task's exit point.
-#[allow(clippy::too_many_arguments)]
 fn confirm_with_tail(
-    sg: &SyncGraph,
-    pg: &PortClg,
-    full: &Scc,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
-    opts: &RefinedOptions,
+    t: &Tables<'_>,
     h: usize,
     component: &[usize],
-    rescued: &[usize],
     runs: &mut usize,
-    ctx: &AnalysisCtx,
     delta: &mut Counters,
 ) -> Result<Option<(usize, Vec<usize>)>, IwaError> {
+    let sg = t.sg;
     let coaccept = sg.coaccept(h);
     // Strict control descendants of h (within its task).
     let mut descendants = BitSet::new(sg.num_nodes());
@@ -605,21 +608,19 @@ fn confirm_with_tail(
             descendants.union_with(&sg.control.reachable_from(v));
         }
     }
-    for t in sg.rendezvous_nodes() {
-        ctx.budget().checkpoint("head-tail confirmation candidates")?;
-        if !descendants.contains(t) || !component.contains(&t) {
+    for tl in sg.rendezvous_nodes() {
+        t.ctx.budget().checkpoint("head-tail confirmation candidates")?;
+        if !descendants.contains(tl) || !component.contains(&tl) {
             continue;
         }
-        if sg.sync_neighbors(t).is_empty() {
+        if sg.sync_neighbors(tl).is_empty() {
             continue; // a tail must leave via a sync edge
         }
-        if coaccept.contains(&t) || cx.not_coexec(sg, h, t) {
+        if coaccept.contains(&tl) || t.cx.not_coexec(sg, h, tl) {
             continue; // paper's eligibility conditions
         }
-        if let Some(comp2) = marked_search(
-            sg, pg, full, seq, cx, &[h], Some(t), rescued, opts, ctx, runs, delta,
-        )? {
-            return Ok(Some((t, comp2)));
+        if let Some(comp2) = marked_search(t, &[h], Some(tl), runs, delta)? {
+            return Ok(Some((tl, comp2)));
         }
     }
     Ok(None)
@@ -633,7 +634,7 @@ fn confirm_with_tail(
 /// first-node options, and a task that *may* start elsewhere — or slip
 /// straight to `e` — guarantees nothing. The safety fuzzer caught exactly
 /// this on an unrolled loop whose body could be skipped.
-fn constraint4_rescued(sg: &SyncGraph, seq: &SequenceInfo) -> Vec<usize> {
+fn constraint4_rescued(sg: &SyncGraph, finish: &FinishOrder) -> Vec<usize> {
     use iwa_syncgraph::B;
     // Per task: its starting options (control successors of b).
     let mut starts: Vec<Vec<usize>> = vec![Vec::new(); sg.num_tasks];
@@ -658,7 +659,7 @@ fn constraint4_rescued(sg: &SyncGraph, seq: &SequenceInfo) -> Vec<usize> {
                 && sg
                     .sync_neighbors(w)
                     .iter()
-                    .all(|&q| q as usize == t || seq.finishes_before(t, q as usize))
+                    .all(|&q| q as usize == t || finish.finishes_before(t, q as usize))
         });
         if found {
             rescued.push(t);

@@ -11,20 +11,25 @@
 //! baked into the suite, and rung selection is step-gated, never
 //! wall-gated) or explicitly informational (`wall_ms`, the one
 //! host-dependent column, kept so speedups can be *recorded* but never
-//! used by validation). Validation gates on **steps only**: a run fails
-//! when any family/size row needs more than
-//! [`DEFAULT_STEP_REGRESSION_PCT`] percent extra steps over the recorded
-//! trajectory.
+//! used by validation). Validation gates on the deterministic work
+//! counts: a run fails when any family/size row needs more than
+//! [`DEFAULT_STEP_REGRESSION_PCT`] percent extra budget steps, or extra
+//! ordering-dataflow word operations, over the recorded trajectory. Rows
+//! recorded before the word-operation count existed gate on steps alone.
 
 use crate::suite::BenchReport;
 use serde::Serialize;
 use serde_json::Value;
 
 /// Version of one `bench_history.jsonl` record. Bump on any field change.
-pub const HISTORY_SCHEMA_VERSION: u32 = 1;
+///
+/// `2` added `sequence_word_ops` to each row; version-1 records still load
+/// and gate on steps alone.
+pub const HISTORY_SCHEMA_VERSION: u32 = 2;
 
-/// Default regression threshold: fail when a row's step count exceeds the
-/// trajectory's by more than this percentage.
+/// Default regression threshold: fail when a row's step count (or
+/// ordering-dataflow word-operation count) exceeds the trajectory's by
+/// more than this percentage.
 pub const DEFAULT_STEP_REGRESSION_PCT: u64 = 15;
 
 /// Default on-disk location of the trajectory, relative to the repo root.
@@ -38,8 +43,11 @@ pub struct HistoryRow {
     pub family: String,
     /// The family's scale parameter.
     pub size: u64,
-    /// Deterministic budget steps — the only validated column.
+    /// Deterministic budget steps (validated).
     pub steps: u64,
+    /// Bitset words the ordering dataflow processed (deterministic;
+    /// validated).
+    pub sequence_word_ops: u64,
     /// SCC passes the analysis performed (deterministic).
     pub scc_runs: u64,
     /// Head hypotheses examined (deterministic).
@@ -83,6 +91,7 @@ impl HistoryRecord {
                     family: r.family.clone(),
                     size: r.size,
                     steps: r.steps,
+                    sequence_word_ops: r.metrics.sequence_word_ops,
                     scc_runs: r.metrics.scc_runs,
                     heads_examined: r.metrics.heads_examined,
                     wall_ms: r.wall_ms,
@@ -116,8 +125,18 @@ pub fn append(path: &str, record: &HistoryRecord) -> Result<(), String> {
     writeln!(f, "{line}").map_err(|e| format!("cannot append to {path}: {e}"))
 }
 
-/// The steps a past record promises, keyed by `(family, size)`.
-type Trajectory = Vec<((String, u64), u64)>;
+/// What a past record promises for one row: its steps and, from version 2
+/// on, its ordering-dataflow word operations.
+#[derive(Clone, Copy, Debug)]
+pub struct Recorded {
+    /// Budget steps.
+    pub steps: u64,
+    /// Ordering-dataflow word operations; `None` in version-1 records.
+    pub sequence_word_ops: Option<u64>,
+}
+
+/// A past record's rows, keyed by `(family, size)`.
+type Trajectory = Vec<((String, u64), Recorded)>;
 
 /// Load the newest record of `mode` from `path`. Returns `Ok(None)` when
 /// the file does not exist or holds no record of that mode (a fresh
@@ -145,9 +164,9 @@ pub fn load_latest(path: &str, mode: &str) -> Result<Option<Trajectory>, String>
             .get("schema_version")
             .and_then(Value::as_u64)
             .ok_or_else(|| format!("{path}:{}: missing schema_version", lineno + 1))?;
-        if version != u64::from(HISTORY_SCHEMA_VERSION) {
+        if !(1..=u64::from(HISTORY_SCHEMA_VERSION)).contains(&version) {
             return Err(format!(
-                "{path}:{}: schema_version {version} != supported {HISTORY_SCHEMA_VERSION}",
+                "{path}:{}: schema_version {version} not in supported 1..={HISTORY_SCHEMA_VERSION}",
                 lineno + 1
             ));
         }
@@ -172,7 +191,14 @@ pub fn load_latest(path: &str, mode: &str) -> Result<Option<Trajectory>, String>
                 .get("steps")
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("{path}:{}: row missing steps", lineno + 1))?;
-            t.push(((family.to_owned(), size), steps));
+            let sequence_word_ops = row.get("sequence_word_ops").and_then(Value::as_u64);
+            t.push((
+                (family.to_owned(), size),
+                Recorded {
+                    steps,
+                    sequence_word_ops,
+                },
+            ));
         }
         latest = Some(t);
     }
@@ -187,9 +213,10 @@ pub fn load_latest(path: &str, mode: &str) -> Result<Option<Trajectory>, String>
 ///
 /// # Errors
 ///
-/// Returns one message per regressing row — any row whose steps exceed the
-/// trajectory's by more than `threshold_pct` percent — or a corruption
-/// error from [`load_latest`].
+/// Returns one message per regressing count — any row whose steps, or
+/// whose ordering-dataflow word operations where the trajectory records
+/// them, exceed the trajectory's by more than `threshold_pct` percent — or
+/// a corruption error from [`load_latest`].
 pub fn validate_trajectory(
     path: &str,
     report: &BenchReport,
@@ -201,29 +228,35 @@ pub fn validate_trajectory(
             report.mode
         )]);
     };
+    // Integer-exact threshold: new > old * (100 + pct) / 100 fails.
+    let regressed = |new: u64, old: u64| new > old.saturating_mul(100 + threshold_pct) / 100;
     let mut lines = Vec::new();
     let mut failures = Vec::new();
     for row in &report.rows {
         let key = (row.family.clone(), row.size);
-        let Some(&(_, old_steps)) = trajectory.iter().find(|(k, _)| *k == key) else {
+        let Some(&(_, old)) = trajectory.iter().find(|(k, _)| *k == key) else {
             lines.push(format!(
                 "{:<18} size {:>3}: new row (not in trajectory)",
                 row.family, row.size
             ));
             continue;
         };
-        // Integer-exact threshold: new > old * (100 + pct) / 100 fails.
-        let limit = old_steps.saturating_mul(100 + threshold_pct) / 100;
-        let verdict = if row.steps > limit { "REGRESSED" } else { "ok" };
-        lines.push(format!(
-            "{:<18} size {:>3}: {:>12} steps vs {:>12} recorded ({verdict})",
-            row.family, row.size, row.steps, old_steps
-        ));
-        if row.steps > limit {
-            failures.push(format!(
-                "{} size {}: {} steps exceeds recorded {} by more than {}%",
-                row.family, row.size, row.steps, old_steps, threshold_pct
+        let mut counts = vec![("steps", row.steps, old.steps)];
+        if let Some(old_ops) = old.sequence_word_ops {
+            counts.push(("sequence word ops", row.metrics.sequence_word_ops, old_ops));
+        }
+        for (what, new, old) in counts {
+            let verdict = if regressed(new, old) { "REGRESSED" } else { "ok" };
+            lines.push(format!(
+                "{:<18} size {:>3}: {new:>12} {what} vs {old:>12} recorded ({verdict})",
+                row.family, row.size
             ));
+            if regressed(new, old) {
+                failures.push(format!(
+                    "{} size {}: {new} {what} exceeds recorded {old} by more than {threshold_pct}%",
+                    row.family, row.size
+                ));
+            }
         }
     }
     if failures.is_empty() {
@@ -271,6 +304,53 @@ mod tests {
         let mut slight = report.clone();
         slight.rows[0].steps += slight.rows[0].steps / 10; // +10% < 15%
         validate_trajectory(&path, &slight, 15).unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_sequence_word_ops_regression_fails_validation() {
+        let path = tmp("wordops");
+        let report = run_suite(true);
+        let row = report
+            .rows
+            .iter()
+            .position(|r| r.metrics.sequence_word_ops > 0)
+            .expect("some family runs the ordering dataflow");
+        append(&path, &HistoryRecord::from_report(&report, "t0")).unwrap();
+        let mut worse = report.clone();
+        worse.rows[row].metrics.sequence_word_ops *= 2;
+        let err = validate_trajectory(&path, &worse, 15).unwrap_err();
+        assert!(err.contains("sequence word ops exceeds recorded"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn version_1_records_gate_on_steps_alone() {
+        let path = tmp("v1");
+        let report = run_suite(true);
+        let rows: Vec<String> = report
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"family\":\"{}\",\"size\":{},\"steps\":{},\"scc_runs\":0,\"heads_examined\":0,\"wall_ms\":0}}",
+                    r.family, r.size, r.steps
+                )
+            })
+            .collect();
+        let line = format!(
+            "{{\"schema_version\":1,\"mode\":\"smoke\",\"label\":\"old\",\"seed\":7,\"rows\":[{}]}}\n",
+            rows.join(",")
+        );
+        std::fs::write(&path, line).unwrap();
+        let mut more_ops = report.clone();
+        for r in &mut more_ops.rows {
+            r.metrics.sequence_word_ops = r.metrics.sequence_word_ops * 10 + 1;
+        }
+        validate_trajectory(&path, &more_ops, 15).unwrap();
+        let mut more_steps = report.clone();
+        more_steps.rows[0].steps = more_steps.rows[0].steps * 2 + 100;
+        assert!(validate_trajectory(&path, &more_steps, 15).is_err());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -58,6 +58,9 @@ pub struct Counters {
     pub clg_edges: u64,
     /// Nontrivial CLG cycle components enumerated by the naive analysis.
     pub clg_cycles: u64,
+    /// Bitset words processed by the ordering dataflow (§4.1's
+    /// `SEQUENCEABLE` relation) — its deterministic work count.
+    pub sequence_word_ops: u64,
     /// Candidate heads examined by the refined per-head search.
     pub heads_examined: u64,
     /// SCC computations run during refined marked searches.
@@ -94,6 +97,7 @@ impl Counters {
             clg_nodes,
             clg_edges,
             clg_cycles,
+            sequence_word_ops,
             heads_examined,
             scc_runs,
             sequenceable_hits,
@@ -112,6 +116,7 @@ impl Counters {
         self.clg_nodes = self.clg_nodes.saturating_add(*clg_nodes);
         self.clg_edges = self.clg_edges.saturating_add(*clg_edges);
         self.clg_cycles = self.clg_cycles.saturating_add(*clg_cycles);
+        self.sequence_word_ops = self.sequence_word_ops.saturating_add(*sequence_word_ops);
         self.heads_examined = self.heads_examined.saturating_add(*heads_examined);
         self.scc_runs = self.scc_runs.saturating_add(*scc_runs);
         self.sequenceable_hits = self.sequenceable_hits.saturating_add(*sequenceable_hits);

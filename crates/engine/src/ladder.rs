@@ -53,8 +53,9 @@ use std::time::Duration;
 /// [`CheckSummary`](crate::check::CheckSummary); `4` added the
 /// `io_retries` counter to the `meta.metrics` block; `5` added frontend
 /// dispatch — `lang` on [`FileOutcome`](crate::check::FileOutcome) and
-/// the `skipped` list on [`CheckSummary`](crate::check::CheckSummary).
-pub const SCHEMA_VERSION: u32 = 5;
+/// the `skipped` list on [`CheckSummary`](crate::check::CheckSummary);
+/// `6` added the `sequence_word_ops` counter to the `meta.metrics` block.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// One rung of the degradation ladder, most precise first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
@@ -457,9 +458,12 @@ fn run_rung(
                 .flagged
                 .iter()
                 .map(|h| {
-                    let mut s = format!("potential deadlock: head {}", node_name(p, h.head));
+                    // Flagged indices are nodes of the analysed (inlined,
+                    // unrolled) graph, so they are named from it.
+                    let mut s =
+                        format!("potential deadlock: head {}", describe_node(&cert.graph, h.head));
                     if let Some(partner) = h.partner {
-                        s.push_str(&format!(" confirmed by {}", node_name(p, partner)));
+                        s.push_str(&format!(" confirmed by {}", describe_node(&cert.graph, partner)));
                     }
                     s.push_str(&format!(" ({} nodes in the witness component)", h.component.len()));
                     s
@@ -590,19 +594,6 @@ fn naive_floor(p: &Program, metrics: &Metrics) -> (EngineVerdict, Vec<String>) {
         EngineVerdict::Unknown
     };
     (verdict, flagged)
-}
-
-fn node_name(p: &Program, node: usize) -> String {
-    // Rungs below the oracle report nodes of the *unrolled* graph, whose
-    // indices do not map back to `p`'s own graph — rebuilding that graph
-    // here just for names would repeat the certify pipeline, so fall back
-    // to the bare index when it is out of range.
-    let sg = SyncGraph::from_program(p);
-    if node < sg.num_nodes() {
-        describe_node(&sg, node)
-    } else {
-        format!("node {node}")
-    }
 }
 
 fn describe_node(sg: &SyncGraph, node: usize) -> String {

@@ -7,8 +7,9 @@ use iwa_engine::{analyze, analyze_model, EngineOptions, EngineVerdict, Rung, LAD
 use iwa_frontend::{registry, Lang, LoadedModel};
 use iwa_tasklang::parse;
 use iwa_workloads::adversarial::deep_loop_nest;
+use iwa_workloads::classics::token_ring;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn clean_program() -> iwa_tasklang::Program {
     parse("task t1 { send t2.a; accept b; } task t2 { accept a; send t1.b; }").unwrap()
@@ -284,4 +285,39 @@ fn wait_graph_models_degrade_like_tasklang_ones() {
         assert_eq!(r.rung, Rung::HeadPairs, "{}", model.lang);
         assert!(r.degraded);
     }
+}
+
+/// The ordering dataflow answers to the rung deadline: at a size where
+/// the per-row fixpoint alone ran for seconds, a 100 ms deadline from the
+/// heads rung comes back degraded within twice the deadline plus the naive
+/// floor's own time on the same input.
+#[test]
+fn a_deadline_bounds_the_ordering_dataflow() {
+    let p = token_ring(4096);
+    let from = |start, deadline| EngineOptions {
+        start,
+        deadline,
+        ..EngineOptions::default()
+    };
+    let floor = || {
+        let t0 = Instant::now();
+        let r = analyze(&p, &from(Rung::Naive, None)).unwrap();
+        assert_eq!(r.rung, Rung::Naive);
+        t0.elapsed()
+    };
+    let before = floor();
+
+    let deadline = Duration::from_millis(100);
+    let t0 = Instant::now();
+    let r = analyze(&p, &from(Rung::Heads, Some(deadline))).unwrap();
+    let took = t0.elapsed();
+    // The floor's time on either side of the run, so a load change on a
+    // shared machine does not read as an overrun.
+    let floor_time = before.max(floor());
+    assert!(r.degraded, "attempts: {:?}", r.attempts);
+    assert_eq!(r.rung, Rung::Naive);
+    assert!(
+        took <= 2 * deadline + floor_time,
+        "took {took:?} against a {deadline:?} deadline (floor alone {floor_time:?})"
+    );
 }

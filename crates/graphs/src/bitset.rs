@@ -88,6 +88,21 @@ impl BitSet {
         self.words.fill(0);
     }
 
+    /// Overwrite `self` with `other`, reusing `self`'s storage.
+    ///
+    /// Panics if the universes differ.
+    pub fn copy_from(&mut self, other: &BitSet) {
+        assert_eq!(self.len, other.len, "bitset universe mismatch");
+        self.words.copy_from_slice(&other.words);
+    }
+
+    /// Number of 64-bit words backing the set (the cost unit of the
+    /// whole-set operations).
+    #[must_use]
+    pub fn num_words(&self) -> usize {
+        self.words.len()
+    }
+
     /// `self ∪= other`; returns `true` if `self` changed.
     ///
     /// Panics if the universes differ.
@@ -159,6 +174,56 @@ impl BitSet {
     #[must_use]
     pub fn to_vec(&self) -> Vec<usize> {
         self.iter().collect()
+    }
+}
+
+/// Transpose a relation given as rows: `rows[r].contains(c)` ⇔
+/// `out[c].contains(r)`, for `c` in `0..cols` (every row's universe).
+///
+/// Works on 64×64 bit blocks (gather 64 words, swap quadrants, scatter),
+/// so the cost is `O(rows · cols / 64)` word operations whatever the
+/// density.
+///
+/// Panics if a row's universe is not `cols`.
+#[must_use]
+pub fn transpose(rows: &[BitSet], cols: usize) -> Vec<BitSet> {
+    let mut out = vec![BitSet::new(rows.len()); cols];
+    let mut block = [0u64; WORD_BITS];
+    for (bi, band) in rows.chunks(WORD_BITS).enumerate() {
+        for r in band {
+            assert_eq!(r.len, cols, "bitset universe mismatch");
+        }
+        for bj in 0..cols.div_ceil(WORD_BITS) {
+            block.fill(0);
+            for (k, r) in band.iter().enumerate() {
+                block[k] = r.words[bj];
+            }
+            transpose_block(&mut block);
+            for (k, &w) in block.iter().enumerate() {
+                if let Some(o) = out.get_mut(bj * WORD_BITS + k) {
+                    o.words[bi] = w;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Transpose a 64×64 bit block in place (bit `j` of word `k` ↔ bit `k`
+/// of word `j`) by swapping off-diagonal quadrants at halving widths.
+fn transpose_block(a: &mut [u64; WORD_BITS]) {
+    let mut width = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        for k in 0..WORD_BITS {
+            if k & width == 0 {
+                let t = ((a[k] >> width) ^ a[k + width]) & mask;
+                a[k] ^= t << width;
+                a[k + width] ^= t;
+            }
+        }
+        width >>= 1;
+        mask ^= mask << width;
     }
 }
 
@@ -338,6 +403,31 @@ impl BitMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transpose_matches_the_scalar_definition() {
+        // Sizes straddling word boundaries, including empty and 1-wide.
+        for (m, n) in [(0, 3), (1, 1), (3, 70), (64, 64), (65, 130), (130, 65)] {
+            let rows: Vec<BitSet> = (0..m)
+                .map(|r| (0..n).filter(|c| (r * 7 + c * 13) % 5 < 2).collect::<Vec<_>>())
+                .map(|ones| {
+                    let mut s = BitSet::new(n);
+                    for c in ones {
+                        s.insert(c);
+                    }
+                    s
+                })
+                .collect();
+            let t = transpose(&rows, n);
+            assert_eq!(t.len(), n);
+            for c in 0..n {
+                assert_eq!(t[c].len(), m);
+                for r in 0..m {
+                    assert_eq!(t[c].contains(r), rows[r].contains(c), "({r}, {c}) of {m}x{n}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn insert_remove_contains() {

@@ -36,7 +36,7 @@ pub mod scc;
 pub mod topo;
 pub mod view;
 
-pub use bitset::{BitMatrix, BitSet};
+pub use bitset::{transpose, BitMatrix, BitSet};
 pub use csr::{Csr, GraphBuilder};
 pub use dominators::Dominators;
 pub use scc::Scc;

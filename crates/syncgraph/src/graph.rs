@@ -354,11 +354,20 @@ impl SyncGraphBuilder {
 
     /// Add the sync edges the definition implies: one between every pair of
     /// complementary rendezvous points of the same signal type.
+    ///
+    /// The nodes are sorted by signal and sign, and each signal's run of
+    /// sends is paired with its run of accepts, so the cost is
+    /// `O(n log n)` plus the edges produced.
     pub fn derive_sync_edges(&mut self) {
-        for i in 0..self.nodes.len() {
-            for j in (i + 1)..self.nodes.len() {
-                if self.nodes[i].rendezvous.matches(self.nodes[j].rendezvous) {
-                    self.sync_edges.push((FIRST_RV + i, FIRST_RV + j));
+        let nodes = &self.nodes;
+        let rv = |i: usize| nodes[i].rendezvous;
+        let mut order: Vec<usize> = (0..nodes.len()).collect();
+        order.sort_unstable_by_key(|&i| (rv(i).signal, rv(i).sign));
+        for run in order.chunk_by(|&a, &b| rv(a).signal == rv(b).signal) {
+            let (sends, accepts) = run.split_at(run.partition_point(|&i| rv(i).sign == Sign::Plus));
+            for &s in sends {
+                for &a in accepts {
+                    self.sync_edges.push((FIRST_RV + s.min(a), FIRST_RV + s.max(a)));
                 }
             }
         }

@@ -142,4 +142,11 @@ echo "==> verdict benchmark: builds and passes its own tests against this tree"
 cargo build --release --offline --manifest-path verdict-bench/Cargo.toml
 cargo test -q --release --offline --manifest-path verdict-bench/Cargo.toml
 
+echo "==> verdict benchmark: rendezvous_scale correctness gate at 10^3 nodes"
+# A short run drives the ordering dataflow and witness naming at sizes the
+# unit tests never reach; it exits 1 when a known-anomalous input comes
+# back Clean or an answer changes between passes.
+cargo run --release --offline --quiet --manifest-path verdict-bench/Cargo.toml -- \
+    --workload rendezvous_scale --seed 1 --seconds 2 --trace 0
+
 echo "==> CI green"

@@ -64,7 +64,10 @@ fn corpus_batch_metrics_are_identical_for_any_job_count() {
         metrics.snapshot()
     };
     let base = run(1);
-    assert!(base.sg_nodes > 0 && base.heads_examined > 0, "{base:?}");
+    assert!(
+        base.sg_nodes > 0 && base.heads_examined > 0 && base.sequence_word_ops > 0,
+        "{base:?}"
+    );
     for jobs in [2, 8] {
         let snap = run(jobs);
         assert_eq!(snap, base, "jobs={jobs}");
@@ -91,7 +94,10 @@ fn adversarial_certify_metrics_are_identical_for_any_worker_count() {
             metrics.snapshot()
         };
         let base = run(1);
-        assert!(base.heads_examined > 0, "{name}: {base:?}");
+        assert!(
+            base.heads_examined > 0 && base.sequence_word_ops > 0,
+            "{name}: {base:?}"
+        );
         for workers in [2, 8] {
             assert_eq!(run(workers), base, "{name} workers={workers}");
         }

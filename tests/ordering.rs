@@ -10,7 +10,7 @@
 //!   `b`, `a` fired strictly earlier — checked on straight-line programs
 //!   (where traces are recoverable) via Monte-Carlo simulation.
 
-use iwa::analysis::SequenceInfo;
+use iwa::analysis::{FinishOrder, SequenceInfo};
 use iwa::syncgraph::SyncGraph;
 use iwa::wavesim::{explore, simulate, ExploreConfig, SimOutcome, DONE};
 use iwa::workloads::{random_balanced, random_structured, BalancedConfig, StructuredConfig};
@@ -159,7 +159,7 @@ proptest! {
             &BalancedConfig { tasks: 3, events: 5, message_types: 2, swaps: 4 },
         );
         let sg = SyncGraph::from_program(&p);
-        let seq = SequenceInfo::compute(&sg);
+        let finish = FinishOrder::compute(&sg, &SequenceInfo::compute(&sg));
         for _ in 0..8 {
             let t = simulate(&sg, &mut rng, 100).expect("valid");
             if t.outcome != SimOutcome::Completed {
@@ -178,7 +178,7 @@ proptest! {
             };
             for a in sg.rendezvous_nodes() {
                 for b in sg.rendezvous_nodes() {
-                    if seq.finishes_before(a, b) && fired(b) {
+                    if finish.finishes_before(a, b) && fired(b) {
                         prop_assert!(
                             fired(a),
                             "S({a},{b}) but a never fired in a run firing b:\n{p}"
